@@ -201,6 +201,14 @@ class LinkCutTree {
     return best;
   }
 
+  /// Node count of the whole tree containing x (either profile): after
+  /// access(x), x's splay tree holds the root path and every other node
+  /// hangs off it as a virtual subtree.
+  uint64_t tree_size(int x) {
+    access(x);
+    return nodes_[x].asub;
+  }
+
   /// Size of the subtree rooted at x (rooted profile; includes x).
   uint64_t subtree_size(int x) {
     access(x);

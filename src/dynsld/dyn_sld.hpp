@@ -100,7 +100,9 @@ class DynSLD {
 
   /// Batch insertion via tree contraction over the incidence graph and
   /// Star-Merge per contracted star (Algorithm 3). The batch together
-  /// with the current forest must remain acyclic.
+  /// with the current forest must remain acyclic. A one-edge batch takes
+  /// insert_output_sensitive (Thm 1.2) with a spine index, insert
+  /// (Thm 1.1) without one.
   std::vector<edge_id> insert_batch(std::span<const EdgeInsert> batch);
 
   /// Batch deletion: batch connectivity cut, then concurrent spine
@@ -177,6 +179,11 @@ class DynSLD {
   /// front-end to group updates by component without pairwise
   /// connectivity queries.
   int component_id(vertex_id v);
+
+  /// Vertex count of v's tree in the input forest, O(log n) amortized
+  /// (virtual-subtree sizes of the connectivity tree). Leaves
+  /// component_id values valid: it never re-roots.
+  vertex_id component_size(vertex_id v);
 
   /// Exhaustive structural checks (children consistency, heap order,
   /// index agreement); O(n log n). Test-only.

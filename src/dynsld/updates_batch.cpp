@@ -219,7 +219,13 @@ std::vector<edge_id> DynSLD::insert_batch(std::span<const EdgeInsert> batch) {
   std::vector<edge_id> ids(k, kNoEdge);
   if (k == 0) return ids;
   if (k == 1) {
-    ids[0] = insert(batch[0].u, batch[0].v, batch[0].weight);
+    // A single edge takes the fastest sequential insert: output-sensitive
+    // (Thm 1.2) when a spine index exists, else the walk (Thm 1.1). Both
+    // yield the identical dendrogram.
+    const EdgeInsert& e = batch[0];
+    ids[0] = index_kind_ != SpineIndex::kPointer
+                 ? insert_output_sensitive(e.u, e.v, e.weight)
+                 : insert(e.u, e.v, e.weight);
     return ids;
   }
 

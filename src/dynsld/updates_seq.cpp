@@ -267,6 +267,11 @@ std::vector<edge_id> DynSLD::min_incident_all() const {
 
 int DynSLD::component_id(vertex_id v) { return conn_.find_root(conn_vertex(v)); }
 
+vertex_id DynSLD::component_size(vertex_id v) {
+  // conn_ holds one node per vertex and one per edge: 2k - 1 for k vertices.
+  return static_cast<vertex_id>((conn_.tree_size(conn_vertex(v)) + 1) / 2);
+}
+
 WeightedEdge DynSLD::max_edge_on_path(vertex_id s, vertex_id t) {
   assert(s != t && connected(s, t));
   Rank mx = conn_.path_max(conn_vertex(s), conn_vertex(t));

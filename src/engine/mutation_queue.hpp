@@ -197,9 +197,9 @@ class MutationQueue {
     }
     d.erases = std::move(erases_);
     inserts_.clear();
-    pending_pos_.clear();
+    reset_table(pending_pos_);
     erases_.clear();
-    erase_set_.clear();
+    reset_table(erase_set_);
     live_inserts_ = 0;
     return d;
   }
@@ -213,6 +213,18 @@ class MutationQueue {
   static uint64_t endpoint_key(vertex_id u, vertex_id v) {
     if (u > v) std::swap(u, v);
     return (static_cast<uint64_t>(u) << 32) | v;
+  }
+
+  /// Empty a per-drain table. clear() walks the whole bucket array, and
+  /// a bulk load leaves it sized for its own batch; past a small floor,
+  /// a table far emptier than its buckets is swapped for a fresh one so
+  /// later small drains stop paying for the bulk load's size.
+  template <class Table>
+  static void reset_table(Table& t) {
+    if (t.bucket_count() > std::max<size_t>(1024, 4 * t.size()))
+      t = Table{};
+    else
+      t.clear();
   }
 
   bool erase_locked(ticket_t t, bool count = true) {

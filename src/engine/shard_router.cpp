@@ -89,16 +89,30 @@ void ShardRouter::apply(const MutationQueue::Drained& batch) {
   // on the same scheduler.
   std::vector<std::vector<DynamicClustering::graph_edge>> handles(
       shards_.size());
+  // Replacement-search work per shard (the erase's counter deltas).
+  std::vector<DynamicClustering::SearchStats> search(shards_.size());
   par::parallel_for(
       0, shards_.size(),
       [&](size_t k) {
-        if (!shard_erases[k].empty()) shards_[k]->erase_edges(shard_erases[k]);
+        if (!shard_erases[k].empty()) {
+          const DynamicClustering::SearchStats before = shards_[k]->search_stats();
+          shards_[k]->erase_edges(shard_erases[k]);
+          const DynamicClustering::SearchStats& after = shards_[k]->search_stats();
+          search[k].vertices_labeled = after.vertices_labeled - before.vertices_labeled;
+          search[k].nontree_scanned = after.nontree_scanned - before.nontree_scanned;
+        }
         if (!shard_inserts[k].empty())
           handles[k] = shards_[k]->insert_edges(shard_inserts[k]);
       },
       /*grain=*/1);
 
   for (size_t k = 0; k < shards_.size(); ++k) {
+    if (stats_ && search[k].vertices_labeled) {
+      stats_->msf_search_vertices.fetch_add(search[k].vertices_labeled,
+                                            std::memory_order_relaxed);
+      stats_->msf_search_scanned.fetch_add(search[k].nontree_scanned,
+                                           std::memory_order_relaxed);
+    }
     for (size_t i = 0; i < handles[k].size(); ++i) {
       record(shard_insert_tickets[k][i],
              Loc{Loc::kShard, static_cast<int32_t>(k), handles[k][i]});

@@ -43,6 +43,8 @@ namespace dynsld::engine {
   X(max_batch)                                                            \
   X(shard_batches)        /* per-shard sub-batches applied */             \
   X(cross_ops)            /* ops landing in the cross table */            \
+  X(msf_search_vertices)  /* vertices MSF replacement search labeled */ \
+  X(msf_search_scanned)   /* non-tree entries it scanned */               \
   /* -- epochs -- */                                                      \
   X(epochs_published)                                                     \
   X(snapshot_build_ns)                                                    \

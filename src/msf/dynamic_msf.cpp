@@ -1,5 +1,6 @@
 #include "msf/dynamic_msf.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 
@@ -8,16 +9,29 @@
 namespace dynsld {
 
 DynamicClustering::DynamicClustering(vertex_id n, SpineIndex index)
-    : n_(n), sld_(n, index), nontree_(n) {}
+    : n_(n), sld_(n, index), nontree_(n), mark_(n, 0), piece_(n, 0) {}
 
 void DynamicClustering::add_nontree(graph_edge g) {
-  nontree_[edges_[g].u].insert(grank(g));
-  nontree_[edges_[g].v].insert(grank(g));
+  GraphEdge& e = edges_[g];
+  e.slot_u = static_cast<uint32_t>(nontree_[e.u].size());
+  nontree_[e.u].push_back({g, e.v});
+  e.slot_v = static_cast<uint32_t>(nontree_[e.v].size());
+  nontree_[e.v].push_back({g, e.u});
+}
+
+void DynamicClustering::unlink_nontree(vertex_id x, uint32_t slot) {
+  std::vector<NontreeRef>& list = nontree_[x];
+  const NontreeRef moved = list.back();
+  list[slot] = moved;
+  list.pop_back();
+  GraphEdge& m = edges_[moved.g];
+  (m.u == x ? m.slot_u : m.slot_v) = slot;
 }
 
 void DynamicClustering::remove_nontree(graph_edge g) {
-  nontree_[edges_[g].u].erase(grank(g));
-  nontree_[edges_[g].v].erase(grank(g));
+  const GraphEdge& e = edges_[g];
+  unlink_nontree(e.u, e.slot_u);
+  unlink_nontree(e.v, e.slot_v);
 }
 
 void DynamicClustering::bind_tree(graph_edge g, edge_id sld_id) {
@@ -27,14 +41,9 @@ void DynamicClustering::bind_tree(graph_edge g, edge_id sld_id) {
 }
 
 void DynamicClustering::make_tree(graph_edge g) {
-  GraphEdge& e = edges_[g];
-  // Per-theorem dispatch for the single-edge path: the output-sensitive
-  // insertion (Thm 1.2) needs a spine index; fall back to the walk
-  // (Thm 1.1) without one. Both yield the identical dendrogram.
-  edge_id id = sld_.spine_index_kind() != SpineIndex::kPointer
-                   ? sld_.insert_output_sensitive(e.u, e.v, e.w)
-                   : sld_.insert(e.u, e.v, e.w);
-  bind_tree(g, id);
+  const GraphEdge& e = edges_[g];
+  const DynSLD::EdgeInsert one{e.u, e.v, e.w};
+  bind_tree(g, sld_.insert_batch(std::span<const DynSLD::EdgeInsert>(&one, 1))[0]);
 }
 
 DynamicClustering::graph_edge DynamicClustering::alloc_handle(vertex_id u,
@@ -49,7 +58,7 @@ DynamicClustering::graph_edge DynamicClustering::alloc_handle(vertex_id u,
     g = static_cast<graph_edge>(edges_.size());
     edges_.emplace_back();
   }
-  edges_[g] = GraphEdge{u, v, w, kNoEdge, true};
+  edges_[g] = GraphEdge{u, v, w, kNoEdge, 0, 0, true};
   ++num_alive_;
   return g;
 }
@@ -134,98 +143,143 @@ std::vector<DynamicClustering::graph_edge> DynamicClustering::insert_edges(
 }
 
 void DynamicClustering::erase_edges(std::span<const graph_edge> batch) {
-  if (batch.size() == 1) {
-    erase_edge(batch[0]);
-    return;
-  }
-  size_t nontree_alive = num_alive_ - sld_.num_edges();
-  std::vector<edge_id> tree_ids;
-  std::vector<graph_edge> tree_g;
-  size_t nontree_erased = 0;
+  std::vector<edge_id> cuts;
+  std::vector<vertex_id> ends;
   for (graph_edge g : batch) {
     assert(edge_alive(g));
-    if (edges_[g].sld_id == kNoEdge) {
+    const GraphEdge& e = edges_[g];
+    if (e.sld_id == kNoEdge) {
       remove_nontree(g);
-      release_handle(g);
-      ++nontree_erased;
     } else {
-      tree_ids.push_back(edges_[g].sld_id);
-      tree_g.push_back(g);
+      cuts.push_back(e.sld_id);
+      ends.push_back(e.u);
+      ends.push_back(e.v);
     }
+    release_handle(g);
   }
-  if (tree_g.empty()) return;
-  if (nontree_alive == nontree_erased) {
-    // Pure forest after the non-tree removals: no replacement edge can
-    // exist, so all cuts go through one batch deletion (Thm 1.5).
-    sld_.erase_batch(tree_ids);
-    for (graph_edge g : tree_g) release_handle(g);
-    return;
-  }
-  // Replacement edges may cross several of the batch's cuts; process
-  // tree deletions one at a time so each replacement search sees the
-  // true connectivity (the classical Holm et al. discipline).
-  for (graph_edge g : tree_g) erase_edge(g);
-}
-
-void DynamicClustering::find_replacement(vertex_id u, vertex_id v) {
-  // Lockstep BFS over tree adjacency to find the smaller component.
-  std::vector<vertex_id> comp[2] = {{u}, {v}};
-  std::set<vertex_id> seen[2] = {{u}, {v}};
-  size_t head[2] = {0, 0};
-  int small = -1;
-  while (true) {
-    bool progressed = false;
-    for (int s = 0; s < 2; ++s) {
-      if (head[s] >= comp[s].size()) {
-        small = s;
-        break;
-      }
-      vertex_id x = comp[s][head[s]++];
-      for (const Rank& r : sld_.incident_edges(x)) {
-        vertex_id y = sld_.edge(r.id).other(x);
-        if (seen[s].insert(y).second) comp[s].push_back(y);
-      }
-      progressed = true;
-    }
-    if (small >= 0) break;
-    if (!progressed) break;
-  }
-  if (small < 0) small = comp[0].size() <= comp[1].size() ? 0 : 1;
-  // Minimum non-tree edge with exactly one endpoint in the small side.
-  // Per vertex, the incident sets are rank-ordered, so the first
-  // crossing entry is that vertex's best candidate.
-  Rank best{0, kNoGraphEdge};
-  bool found = false;
-  for (vertex_id x : comp[small]) {
-    for (const Rank& r : nontree_[x]) {
-      graph_edge g = static_cast<graph_edge>(r.id);
-      const GraphEdge& ge = edges_[g];
-      vertex_id y = ge.u == x ? ge.v : ge.u;
-      if (seen[small].count(y)) continue;  // internal to the small side
-      if (!found || r < best) {
-        best = r;
-        found = true;
-      }
-      break;
-    }
-  }
-  if (found) {
-    graph_edge g = static_cast<graph_edge>(best.id);
-    remove_nontree(g);
-    make_tree(g);
-  }
+  if (cuts.empty()) return;
+  search_.tree_cuts += cuts.size();
+  // One batch cut (Thm 1.5) for every tree edge of the batch.
+  sld_.erase_batch(cuts);
+  // With no non-tree edge alive nothing can replace a cut edge.
+  if (num_alive_ > sld_.num_edges()) replace_across(ends);
 }
 
 void DynamicClustering::erase_edge(graph_edge g) {
-  assert(edge_alive(g));
-  GraphEdge e = edges_[g];
-  if (e.sld_id == kNoEdge) {
-    remove_nontree(g);
-  } else {
-    sld_.erase(e.sld_id);
+  erase_edges(std::span<const graph_edge>(&g, 1));
+}
+
+void DynamicClustering::next_stamp() {
+  if (++stamp_ == 0) {
+    std::fill(mark_.begin(), mark_.end(), 0u);
+    stamp_ = 1;
   }
-  release_handle(g);
-  if (e.sld_id != kNoEdge) find_replacement(e.u, e.v);
+}
+
+void DynamicClustering::replace_across(std::span<const vertex_id> ends) {
+  // Pieces: the distinct post-cut components among the cut endpoints.
+  // component_id is stable here: no update runs until the winners go in.
+  std::vector<int> comp(ends.size());
+  for (size_t i = 0; i < ends.size(); ++i) comp[i] = sld_.component_id(ends[i]);
+  std::vector<int> ids(comp);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const auto num_pieces = static_cast<uint32_t>(ids.size());
+  std::vector<uint32_t> end_piece(ends.size());
+  std::vector<vertex_id> seed(num_pieces, kNoVertex);
+  for (size_t i = 0; i < ends.size(); ++i) {
+    const auto p = static_cast<uint32_t>(
+        std::lower_bound(ids.begin(), ids.end(), comp[i]) - ids.begin());
+    end_piece[i] = p;
+    if (seed[p] == kNoVertex) seed[p] = ends[i];
+  }
+  // The pieces of one pre-cut component are exactly those the batch's
+  // cut edges joined. Each component's largest piece is never labeled
+  // or scanned: every crossing edge has an endpoint in another piece.
+  UnionFind group(num_pieces);
+  for (size_t i = 0; i < ends.size(); i += 2) {
+    group.unite(end_piece[i], end_piece[i + 1]);
+  }
+  constexpr uint32_t kNoPiece = static_cast<uint32_t>(-1);
+  std::vector<vertex_id> piece_size(num_pieces);
+  std::vector<uint32_t> big(num_pieces, kNoPiece);  // by group root
+  for (uint32_t p = 0; p < num_pieces; ++p) {
+    piece_size[p] = sld_.component_size(seed[p]);
+    uint32_t& b = big[group.find(p)];
+    if (b == kNoPiece || piece_size[p] > piece_size[b]) b = p;
+  }
+  std::vector<uint32_t> big_of(num_pieces);
+  size_t num_groups = 0;
+  for (uint32_t p = 0; p < num_pieces; ++p) {
+    big_of[p] = big[group.find(p)];
+    num_groups += big_of[p] == p;
+  }
+
+  // Label every other piece in full: BFS over tree adjacency.
+  next_stamp();
+  labeled_.clear();
+  for (uint32_t p = 0; p < num_pieces; ++p) {
+    if (big_of[p] == p) continue;
+    size_t head = labeled_.size();
+    mark_[seed[p]] = stamp_;
+    piece_[seed[p]] = p;
+    labeled_.push_back(seed[p]);
+    while (head < labeled_.size()) {
+      const vertex_id x = labeled_[head++];
+      for (const Rank& r : sld_.incident_edges(x)) {
+        const vertex_id y = sld_.edge(r.id).other(x);
+        if (mark_[y] == stamp_) continue;
+        mark_[y] = stamp_;
+        piece_[y] = p;
+        labeled_.push_back(y);
+      }
+    }
+  }
+  search_.vertices_labeled += labeled_.size();
+
+  // One pass over the labeled vertices' non-tree lists. Non-tree edges
+  // never leave their component, so an unlabeled endpoint lies in the
+  // largest piece of the scanned vertex's component. An edge between
+  // two labeled pieces is seen from both; keep it from the lower one.
+  struct Candidate {
+    Rank rank;
+    uint32_t a, b;
+  };
+  std::vector<Candidate> cand;
+  for (vertex_id x : labeled_) {
+    const uint32_t p = piece_[x];
+    search_.nontree_scanned += nontree_[x].size();
+    for (const NontreeRef& r : nontree_[x]) {
+      uint32_t q = big_of[p];
+      if (mark_[r.other] == stamp_) {
+        q = piece_[r.other];
+        if (q <= p) continue;
+      }
+      cand.push_back({grank(r.g), p, q});
+    }
+  }
+
+  // Kruskal over the pieces: the winners are the replacement edges.
+  std::sort(cand.begin(), cand.end(),
+            [](const Candidate& x, const Candidate& y) { return x.rank < y.rank; });
+  UnionFind joined(num_pieces);
+  std::vector<graph_edge> won;
+  const size_t max_won = num_pieces - num_groups;
+  for (const Candidate& c : cand) {
+    if (won.size() == max_won) break;
+    if (joined.connected(c.a, c.b)) continue;
+    joined.unite(c.a, c.b);
+    won.push_back(static_cast<graph_edge>(c.rank.id));
+  }
+  search_.replacements += won.size();
+  std::vector<DynSLD::EdgeInsert> ins;
+  ins.reserve(won.size());
+  for (graph_edge g : won) {
+    remove_nontree(g);
+    ins.push_back({edges_[g].u, edges_[g].v, edges_[g].w});
+  }
+  std::vector<edge_id> made = sld_.insert_batch(ins);
+  for (size_t j = 0; j < won.size(); ++j) bind_tree(won[j], made[j]);
 }
 
 std::vector<WeightedEdge> DynamicClustering::all_edges() const {

@@ -9,17 +9,29 @@
 //     on the tree path (O(log n) path query); if the new edge is
 //     lighter, swap (one DynSLD erase + insert), else store it as a
 //     non-tree edge. O(log n + dendrogram update).
-//   - deletion of a non-tree edge: O(log deg).
-//   - deletion of a tree edge: cut, then scan the smaller component's
-//     non-tree edges for the minimum replacement (lockstep BFS decides
-//     the smaller side). Worst-case O(smaller side); the forest is
-//     always the exact MSF under the (weight, graph-edge-id) order.
+//   - deletion of a non-tree edge: O(1) swap-remove from the flat
+//     per-vertex non-tree lists.
+//   - deletion of k tree edges (one batch, the batch-dynamic shape of
+//     [48]): cut all k with one DynSLD::erase_batch (Thm 1.5), label
+//     the resulting pieces once, then run one Kruskal pass over the
+//     non-tree edges that cross pieces. Per cut component, every piece
+//     but the largest (sizes from the connectivity forest, O(log n)
+//     each) is labeled by BFS over tree adjacency, and only the labeled
+//     vertices' non-tree lists are scanned: O(sum of the non-largest
+//     pieces + their non-tree degree + c log c) for c crossing
+//     candidates. Exact, because every surviving tree edge stays in
+//     the new MSF (cycle property): MSF(G - D) = (T - D) + Kruskal
+//     over the crossing candidates. With no non-tree edge alive the
+//     labeling is skipped altogether.
+// The forest is always a minimum spanning forest, and with distinct
+// weights the exact MSF under the (weight, graph-edge-id) order. Among
+// tied weights the insertion swap compares DynSLD's path maximum, which
+// breaks ties by forest-edge id, so the tie-break may differ.
 //
 // Graph edges have their own id space (handles returned by insert_edge);
 // the underlying forest-edge ids are internal.
 #pragma once
 
-#include <set>
 #include <span>
 #include <vector>
 
@@ -41,7 +53,7 @@ class DynamicClustering {
   /// Insert a weighted graph edge; returns its handle.
   graph_edge insert_edge(vertex_id u, vertex_id v, double w);
 
-  /// Delete a graph edge by handle.
+  /// Delete a graph edge by handle (a one-edge erase_edges batch).
   void erase_edge(graph_edge g);
 
   // ---- batch front-end (engine flush path) ----
@@ -53,7 +65,8 @@ class DynamicClustering {
   };
 
   /// Batch insertion, dispatching per the paper's theorems by batch
-  /// shape: a singleton goes through the single-update path (which uses
+  /// shape: a singleton goes through the single-update path (a tree
+  /// edge goes in through a one-edge DynSLD::insert_batch, which uses
   /// the output-sensitive Thm 1.2 insertion when a spine index is
   /// present, the Thm 1.1 walk otherwise); a larger batch is classified
   /// by component so the acyclic subset runs through
@@ -61,11 +74,24 @@ class DynamicClustering {
   /// the sequential swap path. Returns handles aligned with `batch`.
   std::vector<graph_edge> insert_edges(std::span<const EdgeUpdate> batch);
 
-  /// Batch deletion: non-tree deletions are local; tree deletions go
-  /// through DynSLD::erase_batch (Thm 1.5) when no non-tree edge
-  /// survives (pure forest: no replacement can exist), and otherwise
-  /// one at a time with a replacement search per cut.
+  /// Batch deletion. Non-tree deletions are local swap-removes. All
+  /// tree deletions are cut at once through DynSLD::erase_batch
+  /// (Thm 1.5); then, unless no non-tree edge is alive, the pieces are
+  /// labeled once and one Kruskal pass over the crossing non-tree edges
+  /// picks the replacements, which go back in through one insert_batch
+  /// (Thm 1.5; a single winner takes its Thm 1.2 branch). Handles
+  /// must be alive and distinct.
   void erase_edges(std::span<const graph_edge> batch);
+
+  /// Cumulative replacement-search work (plain counters, never reset;
+  /// callers diff two reads to get a batch's or a flush's share).
+  struct SearchStats {
+    uint64_t tree_cuts = 0;         // tree edges cut by erase batches
+    uint64_t vertices_labeled = 0;  // vertices the piece BFS labeled
+    uint64_t nontree_scanned = 0;   // non-tree list entries examined
+    uint64_t replacements = 0;      // non-tree edges promoted to the MSF
+  };
+  const SearchStats& search_stats() const { return search_; }
 
   bool edge_alive(graph_edge g) const {
     return g < edges_.size() && edges_[g].alive;
@@ -102,17 +128,24 @@ class DynamicClustering {
   std::vector<WeightedEdge> all_edges() const;
 
  private:
+  friend struct DynamicClusteringTestPeer;
+
   struct GraphEdge {
     vertex_id u = kNoVertex;
     vertex_id v = kNoVertex;
     double w = 0.0;
     edge_id sld_id = kNoEdge;  // forest edge id when in the MSF
+    // Positions in nontree_[u] / nontree_[v] while a non-tree edge.
+    uint32_t slot_u = 0;
+    uint32_t slot_v = 0;
     bool alive = false;
   };
 
   Rank grank(graph_edge g) const { return Rank{edges_[g].w, g}; }
   void add_nontree(graph_edge g);
   void remove_nontree(graph_edge g);
+  /// Swap-remove entry `slot` of nontree_[x], fixing the moved edge's slot.
+  void unlink_nontree(vertex_id x, uint32_t slot);
   void make_tree(graph_edge g);
   /// Allocate a handle for (u, v, w) without routing it anywhere yet.
   graph_edge alloc_handle(vertex_id u, vertex_id v, double w);
@@ -122,19 +155,37 @@ class DynamicClustering {
   void bind_tree(graph_edge g, edge_id sld_id);
   /// Free a handle whose forest/non-tree residue is already gone.
   void release_handle(graph_edge g);
-  /// Find and reinstate the minimum replacement edge across the cut
-  /// separating u's and v's components (after a tree-edge removal).
-  void find_replacement(vertex_id u, vertex_id v);
+  /// After one batch cut: label the pieces around the cut endpoints
+  /// (`ends` holds u, v of every cut edge), collect the non-tree edges
+  /// crossing pieces, and reinstate the Kruskal winners among them.
+  void replace_across(std::span<const vertex_id> ends);
+  /// Start a new labeling: bump stamp_, clearing mark_ on wraparound.
+  void next_stamp();
 
   vertex_id n_;
   DynSLD sld_;
   std::vector<GraphEdge> edges_;
   std::vector<graph_edge> free_ids_;
   size_t num_alive_ = 0;
-  // Non-tree edges incident to each vertex, ordered by (weight, id).
-  std::vector<std::set<Rank>> nontree_;
+  // A non-tree list entry: the edge and its endpoint at the far side, so
+  // the scan classifies internal entries without touching edges_.
+  struct NontreeRef {
+    graph_edge g;
+    vertex_id other;
+  };
+  // Non-tree edges incident to each vertex, unordered (slots in GraphEdge).
+  std::vector<std::vector<NontreeRef>> nontree_;
   // Reverse map: forest edge id -> graph edge id.
   std::vector<graph_edge> sld_to_graph_;
+  // Replacement-search scratch, reused across batches: v is labeled in
+  // the current search iff mark_[v] == stamp_, and then lies in piece
+  // piece_[v]; labeled_ holds the labeled vertices, piece by piece, in
+  // BFS order (it doubles as the BFS queue).
+  std::vector<uint32_t> mark_;
+  std::vector<uint32_t> piece_;
+  uint32_t stamp_ = 0;
+  std::vector<vertex_id> labeled_;
+  SearchStats search_;
 };
 
 }  // namespace dynsld

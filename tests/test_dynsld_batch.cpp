@@ -231,6 +231,32 @@ TEST_P(BatchCombo, MixedBatchLifecycle) {
   }
 }
 
+TEST_P(BatchCombo, OneEdgeBatchesMatchReference) {
+  // One-edge batches take the single-insert branch (Thm 1.2 with a
+  // spine index, Thm 1.1 without); the dendrogram must not care.
+  const vertex_id n = 40;
+  Rng rng(77);
+  DynSLD s(n, GetParam().index);
+  UnionFind uf(n);
+  std::vector<edge_id> live;
+  for (int t = 0; t < 200 && live.size() + 1 < n; ++t) {
+    vertex_id u = static_cast<vertex_id>(rng.next_bounded(n));
+    vertex_id v = static_cast<vertex_id>(rng.next_bounded(n));
+    if (u == v || uf.connected(u, v)) continue;
+    uf.unite(u, v);
+    std::vector<DynSLD::EdgeInsert> one{{u, v, static_cast<double>(rng.next_bounded(1000))}};
+    auto ids = s.insert_batch(one);
+    ASSERT_EQ(ids.size(), 1u);
+    live.push_back(ids[0]);
+    expect_matches_reference(s);
+  }
+  for (size_t i = 0; i < live.size(); i += 3) {
+    std::vector<edge_id> del{live[i]};
+    s.erase_batch(del);
+    expect_matches_reference(s);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Indices, BatchCombo,
                          ::testing::Values(BatchParam{"ptr", SpineIndex::kPointer},
                                            BatchParam{"lct", SpineIndex::kLct},

@@ -203,6 +203,62 @@ TEST(ShardRouter, PatchViabilityFallbackOnLargeCut) {
   }
 }
 
+/// The router exports each flush's MSF replacement-search work: one
+/// cut of the path 0..7 labels only the smaller piece {0, 1, 2} and
+/// scans its one non-tree entry; with no non-tree edge left, a later
+/// cut labels nothing.
+TEST(ShardRouter, ReplacementSearchCounters) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 8;
+  cfg.num_shards = 1;
+  SldService svc(cfg);
+  std::vector<ticket_t> path;
+  for (vertex_id v = 0; v + 1 < 8; ++v)
+    path.push_back(svc.insert(v, v + 1, 0.1 * (v + 1)));
+  svc.insert(0, 7, 0.95);  // the only non-tree edge
+  svc.flush();
+  EXPECT_EQ(svc.stats().msf_search_vertices, 0u);
+
+  svc.erase(path[2]);  // (2, 3)
+  svc.flush();
+  EXPECT_EQ(svc.stats().msf_search_vertices, 3u);
+  EXPECT_EQ(svc.stats().msf_search_scanned, 1u);
+  EXPECT_TRUE(svc.snapshot()->same_cluster(0, 3, 1.0));
+
+  svc.erase(path[5]);  // (5, 6): a pure forest now, nothing to search
+  svc.flush();
+  EXPECT_EQ(svc.stats().msf_search_vertices, 3u);
+  EXPECT_EQ(svc.stats().msf_search_scanned, 1u);
+}
+
+/// drain() swaps in fresh per-drain tables once a bulk load has sized
+/// them far past a small batch; coalescing and duplicate detection
+/// work the same before and after the swap.
+TEST(MutationQueue, SmallDrainsAfterBulkLoad) {
+  EngineStats stats;
+  MutationQueue q(&stats);
+  std::vector<ticket_t> bulk;
+  for (vertex_id v = 0; v < 5000; ++v) bulk.push_back(q.enqueue_insert(v, v + 1, 0.5));
+  for (size_t i = 0; i < 3000; ++i) EXPECT_TRUE(q.enqueue_erase(bulk[i] + 100000));
+  auto d = q.drain();
+  EXPECT_EQ(d.inserts.size(), 5000u);
+  for (int round = 0; round < 3; ++round) {
+    ticket_t t = q.enqueue_insert(1, 2, 0.25);
+    EXPECT_FALSE(q.enqueue_erase(t));  // annihilates the pending insert
+    EXPECT_TRUE(q.enqueue_erase(bulk[round]));
+    EXPECT_FALSE(q.enqueue_erase(bulk[round]));  // duplicate in this cut
+    ticket_t kept = q.enqueue_insert(3, 4, 0.75);
+    d = q.drain();
+    ASSERT_EQ(d.inserts.size(), 1u);
+    EXPECT_EQ(d.inserts[0].ticket, kept);
+    ASSERT_EQ(d.erases.size(), 1u);
+    EXPECT_EQ(d.erases[0].ticket, bulk[round]);
+    EXPECT_EQ(d.erases[0].u, static_cast<vertex_id>(round));
+  }
+  EXPECT_EQ(stats.coalesced_pairs.load(), 3u);
+  EXPECT_EQ(stats.duplicate_erases.load(), 3u);
+}
+
 TEST(MutationQueue, ReinsertAfterEraseInOneBatch) {
   const ShardMap map = ShardMap::make(40, 2);
   MutationQueue q;

@@ -4,7 +4,8 @@
 //
 // Each schedule is a seeded interleaving of insert / erase-by-ticket /
 // erase-by-endpoints / flush over a parameterized scenario (uneven
-// shards, erase-heavy churn, single-shard hotspots, all-cross-edges).
+// shards, erase-heavy churn, single-shard hotspots, all-cross-edges,
+// dense erase-heavy shards).
 // After every published epoch the harness checks three ways at several
 // thresholds:
 //
@@ -24,7 +25,7 @@
 //      published epoch.
 //
 // Seeds are printed on failure (SCOPED_TRACE) for replay; set
-// DYNSLD_FUZZ_SEEDS to scale the run (default 1000 schedules across
+// DYNSLD_FUZZ_SEEDS to scale the run (default 1250 schedules across
 // the scenarios — CI's TSan leg runs fewer), or DYNSLD_FUZZ_SEED to
 // replay one specific seed in every scenario.
 #include <gtest/gtest.h>
@@ -69,9 +70,10 @@ struct Scenario {
   int hot_shard;      // >= 0: pin this fraction of intra inserts there
   double hot_frac;
   int flush_every;
+  int prefill = 0;  // leading steps that always insert (a dense start)
 };
 
-// Four qualitatively different workloads; ~250 seeds each by default.
+// Five qualitatively different workloads; ~250 seeds each by default.
 constexpr Scenario kScenarios[] = {
     // Stride 13 over 4 shards: the last shard is short (11 vertices),
     // exercising shard-local vertex spaces at every boundary.
@@ -85,6 +87,10 @@ constexpr Scenario kScenarios[] = {
     // Every edge crosses shards: the cross table and the blob
     // union-find ARE the clustering; shard dendrograms stay empty.
     {"all_cross", "AllCross", 40, 4, 60, 0.30, 1.0, -1, 0.0, 10},
+    // Dense intra-shard graphs, then erase-heavy flushes of ~40 ops:
+    // several tree cuts in one shard's batch compete for the same
+    // replacement edges (the batched MSF replacement search).
+    {"dense_cycle", "DenseCycle", 24, 2, 200, 0.6, 0.0, -1, 0.0, 40, 60},
 };
 
 int fuzz_seeds() {
@@ -92,7 +98,7 @@ int fuzz_seeds() {
     int v = std::atoi(s);
     if (v > 0) return v;
   }
-  return 1000;
+  return 1250;
 }
 
 struct LiveEdge {
@@ -149,7 +155,8 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
 
   std::vector<LiveEdge> live;
   for (int step = 0; step < sc.steps; ++step) {
-    if (!live.empty() && rng.next_double() < sc.erase_prob) {
+    if (step >= sc.prefill && !live.empty() &&
+        rng.next_double() < sc.erase_prob) {
       size_t j = rng.next_bounded(live.size());
       if (rng.next_double() < 0.5) {
         svc.erase(live[j].ticket);
@@ -505,7 +512,8 @@ TEST(FuzzEngine, RecoverAndDiffReplaysSchedulesBitForBit) {
         };
         std::vector<LiveEdge> live;
         for (int step = 0; step < sc.steps; ++step) {
-          if (!live.empty() && rng.next_double() < sc.erase_prob) {
+          if (step >= sc.prefill && !live.empty() &&
+              rng.next_double() < sc.erase_prob) {
             size_t j = rng.next_bounded(live.size());
             if (rng.next_double() < 0.5)
               svc.erase(live[j].ticket);

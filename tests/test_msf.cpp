@@ -169,5 +169,226 @@ TEST(Msf, ParallelEdgesAndDuplicates) {
   EXPECT_EQ(dc.num_tree_edges(), 0u);
 }
 
+// ---- batch API: insert_edges / erase_edges ----
+
+void expect_batch_state(DynamicClustering& dc, const GraphOracle& oracle) {
+  expect_forest_is_msf(dc, oracle);
+  auto fe = dc.sld().edges();
+  ASSERT_TRUE(dc.dendrogram() == build_kruskal(dc.num_vertices(), fe));
+}
+
+// Forest weight and vertex partition of the maintained forest equal
+// the Kruskal forest's: it is *a* minimum spanning forest.
+void expect_minimum_forest(DynamicClustering& dc, const GraphOracle& oracle) {
+  auto got = dc.forest_edges();
+  auto want = oracle.msf();
+  ASSERT_EQ(got.size(), want.size());
+  double wg = 0, ww = 0;
+  UnionFind ug(dc.num_vertices()), uw(dc.num_vertices());
+  for (const WeightedEdge& e : got) wg += e.weight, ug.unite(e.u, e.v);
+  for (const WeightedEdge& e : want) ww += e.weight, uw.unite(e.u, e.v);
+  EXPECT_EQ(wg, ww);
+  for (vertex_id v = 0; v < dc.num_vertices(); ++v)
+    EXPECT_EQ(ug.find(v) == ug.find(0), uw.find(v) == uw.find(0)) << "v " << v;
+  auto fe = dc.sld().edges();
+  ASSERT_TRUE(dc.dendrogram() == build_kruskal(dc.num_vertices(), fe));
+}
+
+// Random insert and erase batches; erase batches draw from all live
+// edges, so they mix tree and non-tree edges and often cut one
+// component several times. `weights` > 0 draws integer weights below
+// it (ties); 0 draws distinct real weights.
+void run_batches(uint64_t seed, uint64_t weights,
+                 void (*check)(DynamicClustering&, const GraphOracle&)) {
+  const vertex_id n = 20;
+  Rng rng(seed);
+  DynamicClustering dc(n);
+  GraphOracle oracle{n, {}};
+  std::vector<uint32_t> live;
+  for (int step = 0; step < 120; ++step) {
+    const size_t k = 1 + rng.next_bounded(8);
+    if (live.size() < 3 * n || rng.next_bounded(2) == 0) {
+      std::vector<DynamicClustering::EdgeUpdate> batch;
+      while (batch.size() < k) {
+        vertex_id u = static_cast<vertex_id>(rng.next_bounded(n));
+        vertex_id v = static_cast<vertex_id>(rng.next_bounded(n));
+        double w = weights ? static_cast<double>(rng.next_bounded(weights))
+                           : rng.next_double();
+        if (u != v) batch.push_back({u, v, w});
+      }
+      auto hs = dc.insert_edges(batch);
+      ASSERT_EQ(hs.size(), batch.size());
+      for (size_t i = 0; i < hs.size(); ++i) {
+        oracle.edges[hs[i]] = WeightedEdge{batch[i].u, batch[i].v, batch[i].w, hs[i]};
+        live.push_back(hs[i]);
+      }
+    } else {
+      std::vector<uint32_t> batch;
+      for (size_t i = 0; i < k && !live.empty(); ++i) {
+        size_t j = rng.next_bounded(live.size());
+        batch.push_back(live[j]);
+        oracle.edges.erase(live[j]);
+        live[j] = live.back();
+        live.pop_back();
+      }
+      const uint64_t labeled = dc.search_stats().vertices_labeled;
+      dc.erase_edges(batch);
+      // One labeling per batch: no vertex is labeled twice.
+      EXPECT_LE(dc.search_stats().vertices_labeled - labeled, n);
+    }
+    check(dc, oracle);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "step " << step;
+  }
+  EXPECT_GT(dc.search_stats().replacements, 0u);
+}
+
+class MsfBatchRandom : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MsfBatchRandom, ForestAlwaysMsf) {
+  run_batches(GetParam() + 500, 0, expect_batch_state);
+}
+
+// Tied weights: the single-edge swap compares the DynSLD path maximum,
+// which breaks weight ties by forest-edge id, not graph-edge id, so the
+// forest is a minimum one but not always the (weight, graph id) one.
+TEST_P(MsfBatchRandom, TiedWeightsKeepAMinimumForest) {
+  run_batches(GetParam() + 900, 6, expect_minimum_forest);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MsfBatchRandom, ::testing::Range<uint64_t>(1, 9));
+
+// Inserts `edges` one by one (so tree/non-tree roles follow the
+// weights) and mirrors them into the oracle; returns the handles.
+std::vector<uint32_t> insert_all(DynamicClustering& dc, GraphOracle& oracle,
+                                 std::initializer_list<WeightedEdge> edges) {
+  std::vector<uint32_t> hs;
+  for (const WeightedEdge& e : edges) {
+    auto g = dc.insert_edge(e.u, e.v, e.weight);
+    oracle.edges[g] = WeightedEdge{e.u, e.v, e.weight, g};
+    hs.push_back(g);
+  }
+  return hs;
+}
+
+// Path 0-1-2-3-4-5 cut at 1-2 and 3-4 in one batch: three pieces of
+// one component, rejoined by a Kruskal pass over the crossing edges.
+TEST(MsfBatch, TwoCutsLeaveThreePieces) {
+  DynamicClustering dc(6);
+  GraphOracle oracle{6, {}};
+  auto h = insert_all(dc, oracle,
+                      {{0, 1, 1, 0}, {1, 2, 1, 0}, {2, 3, 1, 0}, {3, 4, 1, 0},
+                       {4, 5, 1, 0}, {1, 3, 4, 0}, {0, 2, 5, 0}, {2, 4, 6, 0},
+                       {0, 5, 7, 0}});
+  const DynamicClustering::SearchStats before = dc.search_stats();
+  std::vector<uint32_t> batch = {h[1], h[3], h[6]};  // two cuts + (0, 2)
+  for (uint32_t g : batch) oracle.edges.erase(g);
+  dc.erase_edges(batch);
+  expect_batch_state(dc, oracle);
+  const DynamicClustering::SearchStats& after = dc.search_stats();
+  EXPECT_EQ(after.tree_cuts - before.tree_cuts, 2u);
+  // Pieces {0,1}, {2,3}, {4,5}: the largest (a tie) is never labeled.
+  EXPECT_EQ(after.vertices_labeled - before.vertices_labeled, 4u);
+  EXPECT_EQ(after.replacements - before.replacements, 2u);
+  EXPECT_TRUE(dc.is_tree_edge(h[5]));   // (1, 3) w4
+  EXPECT_TRUE(dc.is_tree_edge(h[7]));   // (2, 4) w6
+  EXPECT_FALSE(dc.is_tree_edge(h[8]));  // (0, 5) w7 closes a cycle
+}
+
+// (0, 3) crosses both cuts of one batch and is the lightest candidate
+// for each; it can replace only one of them. A per-cut minimum would
+// pick it twice.
+TEST(MsfBatch, OneEdgeBestForSeveralCuts) {
+  DynamicClustering dc(4);
+  GraphOracle oracle{4, {}};
+  auto h = insert_all(dc, oracle,
+                      {{0, 1, 1, 0}, {1, 2, 1, 0}, {2, 3, 1, 0}, {0, 3, 2, 0},
+                       {1, 3, 5, 0}, {0, 2, 9, 0}});
+  std::vector<uint32_t> batch = {h[0], h[2]};
+  for (uint32_t g : batch) oracle.edges.erase(g);
+  dc.erase_edges(batch);
+  expect_batch_state(dc, oracle);
+  EXPECT_EQ(dc.num_tree_edges(), 3u);
+  EXPECT_TRUE(dc.is_tree_edge(h[3]));
+  EXPECT_TRUE(dc.is_tree_edge(h[4]));
+  EXPECT_FALSE(dc.is_tree_edge(h[5]));
+}
+
+// The batch's own non-tree erases go first; with no non-tree edge left
+// alive, its cuts skip the labeling.
+TEST(MsfBatch, NoReplacementPossibleSkipsLabeling) {
+  DynamicClustering dc(5);
+  GraphOracle oracle{5, {}};
+  auto h = insert_all(dc, oracle,
+                      {{0, 1, 1, 0}, {1, 2, 2, 0}, {2, 3, 3, 0}, {3, 4, 4, 0},
+                       {0, 4, 9, 0}});
+  std::vector<uint32_t> batch = {h[1], h[4], h[3]};
+  for (uint32_t g : batch) oracle.edges.erase(g);
+  dc.erase_edges(batch);
+  expect_batch_state(dc, oracle);
+  EXPECT_EQ(dc.search_stats().tree_cuts, 2u);
+  EXPECT_EQ(dc.search_stats().vertices_labeled, 0u);
+  EXPECT_EQ(dc.search_stats().nontree_scanned, 0u);
+}
+
+}  // namespace
+
+// Test hook into the private replacement-search scratch.
+struct DynamicClusteringTestPeer {
+  static uint32_t stamp(const DynamicClustering& dc) { return dc.stamp_; }
+  static void set_stamp(DynamicClustering& dc, uint32_t s) { dc.stamp_ = s; }
+};
+
+namespace {
+
+// The labeling stamp wraps: marks left by the first searches must not
+// read as labeled once the counter comes round to their values again.
+TEST(MsfBatch, StampWraparoundClearsMarks) {
+  const vertex_id n = 16;
+  Rng rng(77);
+  DynamicClustering dc(n);
+  GraphOracle oracle{n, {}};
+  std::vector<uint32_t> live;
+  auto churn_batch = [&] {
+    std::vector<DynamicClustering::EdgeUpdate> ins;
+    while (ins.size() < 6) {
+      vertex_id u = static_cast<vertex_id>(rng.next_bounded(n));
+      vertex_id v = static_cast<vertex_id>(rng.next_bounded(n));
+      if (u != v) ins.push_back({u, v, rng.next_double()});
+    }
+    auto hs = dc.insert_edges(ins);
+    for (size_t i = 0; i < hs.size(); ++i) {
+      oracle.edges[hs[i]] = WeightedEdge{ins[i].u, ins[i].v, ins[i].w, hs[i]};
+      live.push_back(hs[i]);
+    }
+    std::vector<uint32_t> er;
+    for (int i = 0; i < 4; ++i) {
+      size_t j = rng.next_bounded(live.size());
+      er.push_back(live[j]);
+      oracle.edges.erase(live[j]);
+      live[j] = live.back();
+      live.pop_back();
+    }
+    dc.erase_edges(er);
+    expect_batch_state(dc, oracle);
+  };
+  for (int b = 0; b < 40; ++b) {
+    churn_batch();
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "batch " << b;
+  }
+  // Marks stamped 1..used are left behind.
+  const uint32_t used = DynamicClusteringTestPeer::stamp(dc);
+  ASSERT_GT(used, 3u);
+  DynamicClusteringTestPeer::set_stamp(dc, UINT32_MAX - 1);
+  // Run the counter through the wrap and back past every stale value.
+  for (int b = 0; b < 400; ++b) {
+    churn_batch();
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "batch " << b;
+    const uint32_t st = DynamicClusteringTestPeer::stamp(dc);
+    if (st > used && st < UINT32_MAX - 1) break;
+  }
+  EXPECT_GT(DynamicClusteringTestPeer::stamp(dc), used);
+  EXPECT_LT(DynamicClusteringTestPeer::stamp(dc), UINT32_MAX - 1);
+}
+
 }  // namespace
 }  // namespace dynsld
