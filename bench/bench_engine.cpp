@@ -36,12 +36,11 @@
 //      tail over the same history, and AsOf{epoch} query latency per
 //      serving tier (retention ring, cold checkpoint rehydration,
 //      rehydration LRU) against the Latest baseline.
-//   9. Incremental flush: per-flush latency of the contraction-round
-//      patch (retained per-shard state, copy-on-write snapshot arrays)
+//   9. Incremental flush: per-flush latency of the incremental patch
+//      (retained per-shard slot order, copy-on-write snapshot arrays)
 //      vs the from-scratch rebuild across a batch-size x shard-size
-//      sweep; the rounds_rerun/rounds_total counters prove which
-//      lifting rounds were reused, and oversized batches show the
-//      viability gate falling back to rebuilds.
+//      sweep; oversized batches show the viability gate falling back
+//      to rebuilds.
 //  10. Wire serving: the same single-query request stream through an
 //      in-process submit() vs across a loopback RpcServer (the delta
 //      is pure plumbing: frame codec + TCP + poll loop + completion
@@ -880,7 +879,7 @@ static void durability(bool smoke) {
 
 static void incremental_flush(bool smoke) {
   bench::header("E-ENGINE-9",
-                "incremental shard flush: contraction patch vs full rebuild");
+                "incremental shard flush: COW patch vs full rebuild");
   auto pct = [](std::vector<double> v, double q) {
     std::sort(v.begin(), v.end());
     return v[std::min(v.size() - 1,
@@ -889,9 +888,9 @@ static void incremental_flush(bool smoke) {
   // Enough flushes per config that the p50 reflects the engine rather
   // than scheduling noise on small hosts (the slow tail is one-sided).
   const int rounds = smoke ? 32 : 48;
-  bench::row("%8s %6s | %10s %10s | %10s %10s | %8s %10s %8s", "shard n",
+  bench::row("%8s %6s | %10s %10s | %10s %10s | %8s %8s", "shard n",
              "batch", "rb p50 us", "rb p99 us", "pt p50 us", "pt p99 us",
-             "speedup", "rounds", "patched");
+             "speedup", "patched");
   for (vertex_id n : smoke ? std::vector<vertex_id>{1024, 8192}
                            : std::vector<vertex_id>{1024, 2048, 8192}) {
     for (int batch : smoke ? std::vector<int>{8, 16, 64}
@@ -905,7 +904,7 @@ static void incremental_flush(bool smoke) {
       // metrics for context.
       std::vector<double> wall[2];
       double stage50[2] = {0, 0}, stage99[2] = {0, 0};
-      uint64_t rr = 0, rt = 0, patched = 0, fallbacks = 0;
+      uint64_t patched = 0, fallbacks = 0;
       {
         // Twin services, identical op streams, flushes interleaved per
         // round: external disturbances (this is a latency benchmark on
@@ -982,8 +981,6 @@ static void incremental_flush(bool smoke) {
           stage99[inc] = hs.p99() / 1000.0;
         }
         auto st = svcs[1]->stats();
-        rr = st.contraction_rounds_rerun;
-        rt = st.contraction_rounds_total;
         patched = st.shard_snapshots_patched;
         fallbacks = st.shard_patch_fallbacks;
       }
@@ -992,17 +989,12 @@ static void incremental_flush(bool smoke) {
       const double speedup = pt50 > 0 ? rb50 / pt50 : 0.0;
       const double wall_rb50 = pct(wall[0], 0.5);
       const double wall_pt50 = pct(wall[1], 0.5);
-      char rounds_col[32];
-      std::snprintf(rounds_col, sizeof rounds_col, "%llu/%llu",
-                    static_cast<unsigned long long>(rr),
-                    static_cast<unsigned long long>(rt));
       char patched_col[32];
       std::snprintf(patched_col, sizeof patched_col, "%llu(%lluF)",
                     static_cast<unsigned long long>(patched),
                     static_cast<unsigned long long>(fallbacks));
-      bench::row("%8u %6d | %10.1f %10.1f | %10.1f %10.1f | %7.2fx %10s %8s",
-                 n, batch, rb50, rb99, pt50, pt99, speedup, rounds_col,
-                 patched_col);
+      bench::row("%8u %6d | %10.1f %10.1f | %10.1f %10.1f | %7.2fx %8s",
+                 n, batch, rb50, rb99, pt50, pt99, speedup, patched_col);
       const std::string key =
           "_n" + std::to_string(n) + "_b" + std::to_string(batch);
       bench::json_log().metric("E-ENGINE-9", "flush_p50_us_rebuild" + key,
@@ -1018,10 +1010,6 @@ static void incremental_flush(bool smoke) {
                                wall_rb50, "us");
       bench::json_log().metric("E-ENGINE-9", "wall_flush_p50_us_patch" + key,
                                wall_pt50, "us");
-      if (rt)
-        bench::json_log().metric(
-            "E-ENGINE-9", "rounds_rerun_pct" + key,
-            100.0 * static_cast<double>(rr) / static_cast<double>(rt), "%");
     }
   }
 }

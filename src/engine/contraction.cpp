@@ -1,17 +1,14 @@
 #include "engine/contraction.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 namespace dynsld::engine {
 
 namespace {
 constexpr int32_t kNoSlot = DendrogramSnapshot::kNoSlot;
-constexpr uint32_t kFar = std::numeric_limits<uint32_t>::max();
 }  // namespace
 
 std::shared_ptr<const DendrogramSnapshot> ShardContraction::advance(
@@ -118,10 +115,11 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
 
   // 4. Rank merge of the surviving old slots (already sorted — this
   //    replaces the fresh build's O(m log m) sort) with the added
-  //    nodes, producing the new slot order plus both remaps. Both
-  //    sides are sorted, so one streamed scan over the old order finds
-  //    every insertion point; everything between two edit points then
-  //    block-copies, so the merge costs O(m) in sequential memory.
+  //    nodes, producing the new slot order plus the old -> new slot
+  //    remap. Both sides are sorted, so one streamed scan over the old
+  //    order finds every insertion point; everything between two edit
+  //    points then block-copies, so the merge costs O(m) in sequential
+  //    memory.
   // Rank keys fetched once (d.rank walks the node table; the sort's
   // comparator would re-read it per compare).
   std::vector<std::pair<Rank, edge_id>> akeys;
@@ -170,8 +168,6 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
     if (r.e < slot_of_.size()) slot_of_[r.e] = kNoSlot;
 
   remap_.resize(m_old);
-  old_of_.resize(m);
-  runs_.clear();
   std::vector<edge_id> new_ids;
   new_ids.reserve(m);
   size_t ri = 0, ai = 0, so = 0;
@@ -183,7 +179,6 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
     s.u_.push_back(nd.u + base);
     s.v_.push_back(nd.v + base);
     s.weight_.push_back(nd.weight);
-    old_of_[w] = -1;
     slot_of_[e] = w;
   };
   while (so < m_old) {
@@ -201,8 +196,6 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
       end = std::min(end, static_cast<size_t>(removed_slots[ri]));
     const size_t len = end - so;
     const size_t w = new_ids.size();
-    runs_.push_back({static_cast<int32_t>(so), static_cast<int32_t>(w),
-                     static_cast<int32_t>(len)});
     new_ids.insert(new_ids.end(), ids_.begin() + so, ids_.begin() + end);
     s.u_.insert(s.u_.end(), prev.u_.begin() + so, prev.u_.begin() + end);
     s.v_.insert(s.v_.end(), prev.v_.begin() + so, prev.v_.begin() + end);
@@ -210,7 +203,6 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
                      prev.weight_.begin() + end);
     for (size_t t = 0; t < len; ++t) {
       remap_[so + t] = static_cast<int32_t>(w + t);
-      old_of_[w + t] = static_cast<int32_t>(so + t);
       slot_of_[ids_[so + t]] = static_cast<int32_t>(w + t);
     }
     so = end;
@@ -223,33 +215,18 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
   //    dendrogram. A survivor whose remapped parent was removed is by
   //    the detach-before-remove invariant always in `reparented`, so
   //    the transient kRemovedSlot is always overwritten.
-  for (size_t i = 0; i < m; ++i) {
-    const int32_t oi = old_of_[i];
-    if (oi < 0) continue;
-    const int32_t op = prev.parent_[oi];
-    s.parent_[i] = op == kNoSlot ? kNoSlot : remap_[op];
+  for (size_t o = 0; o < m_old; ++o) {
+    const int32_t ni = remap_[o];
+    if (ni == kRemovedSlot) continue;
+    const int32_t op = prev.parent_[o];
+    s.parent_[ni] = op == kNoSlot ? kNoSlot : remap_[op];
   }
-  std::vector<int32_t> changed;
-  changed.reserve(added.size() + reparented.size());
-  for (edge_id e : added) {
-    const int32_t sl = slot_of_[e];
-    const Dendrogram::Node& nd = d.node(e);
-    s.parent_[sl] = nd.parent == kNoEdge ? kNoSlot : slot_of_[nd.parent];
-    changed.push_back(sl);
-  }
-  // Journaled parent writes mostly cancel out over a batch: an erase
-  // replacement detaches and reattaches whole subtrees transiently, so
-  // the raw reparent list runs 10-100x larger than the net edit. Only
-  // survivors whose parent slot actually differs from the remap-copied
-  // previous value seed the contraction rounds below.
-  for (edge_id e : reparented) {
-    const int32_t sl = slot_of_[e];
-    const Dendrogram::Node& nd = d.node(e);
-    const int32_t np = nd.parent == kNoEdge ? kNoSlot : slot_of_[nd.parent];
-    if (s.parent_[sl] == np) continue;
-    s.parent_[sl] = np;
-    changed.push_back(sl);
-  }
+  auto read_parent = [&](edge_id e) {
+    const edge_id p = d.node(e).parent;
+    s.parent_[slot_of_[e]] = p == kNoEdge ? kNoSlot : slot_of_[p];
+  };
+  for (edge_id e : added) read_parent(e);
+  for (edge_id e : reparented) read_parent(e);
 #ifndef NDEBUG
   for (size_t i = 0; i < m; ++i)
     assert(s.parent_[i] == kNoSlot || s.parent_[i] > static_cast<int32_t>(i));
@@ -295,101 +272,9 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
   //    this counting sort — the sort is two tight streaming passes.)
   s.derive_csr_and_counts();
 
-  // 9. Lifting table, the contraction rounds proper. Distance from each
-  //    slot to its nearest changed ancestor (inclusive) decides what
-  //    re-runs: entry (k, i) is row-copied from the previous table iff
-  //    dist[i] >= 2^k — its whole 2^k-hop chain then avoids changed
-  //    nodes, so the landing ancestor is the same node as last epoch.
-  //    The same descending sweep computes the max depth, sizing the
-  //    table through the formula the fresh build uses.
-  dist_.assign(m, kFar);
-  for (int32_t sl : changed) dist_[sl] = 0;
-  depth_.resize(m);
-  uint32_t maxd = 0;
-  for (size_t i = m; i-- > 0;) {
-    const int32_t p = s.parent_[i];
-    if (p != kNoSlot) {
-      depth_[i] = depth_[p] + 1;
-      if (dist_[i] != 0 && dist_[p] != kFar) dist_[i] = dist_[p] + 1;
-    } else {
-      depth_[i] = 0;
-    }
-    if (depth_[i] > maxd) maxd = depth_[i];
-  }
-
-  s.levels_ = DendrogramSnapshot::levels_for_depth(maxd);
-  // Every row is written in full below (row 0 copies parent_, later
-  // rounds either gather or recompute all m entries), so rows append
-  // into reserved storage instead of paying a zero-fill pass over the
-  // whole table first. reserve() up front keeps data() stable.
-  s.up_.reserve(static_cast<size_t>(s.levels_) * m);
-  out.rounds_total = static_cast<uint32_t>(s.levels_);
-  out.nodes_patched = changed.size();  // round-0 writes (parent_ fixups)
-  if (m) {
-    s.up_.insert(s.up_.end(), s.parent_.begin(), s.parent_.end());
-    const int kcopy = std::min(s.levels_, prev.levels_);
-    // Bucket each slot by the first round whose copy is invalid for it
-    // (dist < 2^k <=> k >= bit_width(dist); changed slots start at 1).
-    if (rounds_.size() < static_cast<size_t>(s.levels_))
-      rounds_.resize(static_cast<size_t>(s.levels_));
-    for (Round& r : rounds_) r.bucket.clear();
-    for (size_t i = 0; i < m; ++i) {
-      if (dist_[i] == kFar) continue;
-      const int start = dist_[i] == 0 ? 1 : std::bit_width(dist_[i]);
-      if (start < s.levels_)
-        rounds_[start].bucket.push_back(static_cast<int32_t>(i));
-    }
-    active_.clear();
-    for (int k = 1; k < s.levels_; ++k) {
-      // Capacity is reserved above, so this append never reallocates:
-      // the row below stays valid while the new row is written in
-      // place, and each page is touched by the write itself.
-      s.up_.resize(static_cast<size_t>(k + 1) * m);
-      int32_t* const row = s.up_.data() + static_cast<size_t>(k) * m;
-      const int32_t* below = row - m;
-      bool rerun = k >= kcopy;  // no previous row at this height
-      if (!rerun) {
-        active_.insert(active_.end(), rounds_[k].bucket.begin(),
-                       rounds_[k].bucket.end());
-        // Once the active set covers half the shard, one recompute
-        // pass beats a full gather plus fixups over half the entries.
-        rerun = 2 * active_.size() >= m;
-      }
-      if (rerun) {
-        // Whole round re-runs off the finished round below it.
-        for (size_t i = 0; i < m; ++i) {
-          const int32_t half = below[i];
-          row[i] = half == kNoSlot ? kNoSlot : below[half];
-        }
-        ++out.rounds_rerun;
-        out.nodes_patched += m;
-      } else {
-        // Row gather reads only the previous epoch's table: an entry
-        // whose 2^k-hop chain avoids every changed node lands on the
-        // same ancestor as last epoch, so the remapped copy is final.
-        // Streaming the merge's survivor runs keeps both row accesses
-        // sequential; only the value remap is a random (L1-resident)
-        // read. Added slots have dist 0 — every one is in active_, so
-        // the fixup pass below overwrites their placeholder.
-        const int32_t* old_row =
-            prev.up_.data() + static_cast<size_t>(k) * m_old;
-        for (edge_id e : added) row[slot_of_[e]] = kRemovedSlot;
-        for (const Run& r : runs_) {
-          const int32_t* src = old_row + r.old_start;
-          int32_t* dst = row + r.new_start;
-          for (int32_t t = 0; t < r.len; ++t) {
-            const int32_t ov = src[t];
-            dst[t] = ov == kNoSlot ? kNoSlot : remap_[ov];
-          }
-        }
-        for (const int32_t i : active_) {
-          const int32_t half = below[i];
-          row[i] = half == kNoSlot ? kNoSlot : below[half];
-        }
-        out.nodes_patched += active_.size();
-      }
-    }
-  }
+  // 9. Jump pointers: one descending pass through the fresh build's
+  //    own helper.
+  s.derive_jumps(depth_);
 
   // 10. Re-arm for the next epoch.
   ids_ = std::move(new_ids);

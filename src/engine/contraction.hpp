@@ -1,24 +1,15 @@
-// Incremental per-shard snapshot builds: retained contraction-round
-// state + copy-on-write patching of the rank-sorted DendrogramSnapshot.
+// Incremental per-shard snapshot builds: retained slot order +
+// copy-on-write patching of the rank-sorted DendrogramSnapshot.
 //
-// A flush used to rebuild every dirty shard's snapshot from scratch:
-// O(m log m) to re-sort the alive nodes by rank plus O(m log m) to
-// refill the binary-lifting table — the dominant write-stall at serving
-// scale, paid even when the batch touched a handful of edges. This
-// module makes the dirty-shard build cost proportional to the batch's
-// structural footprint instead (psac-style self-adjusting computation:
-// keep the per-round state of the previous run, re-execute only the
-// rounds whose inputs changed).
+// A fresh build re-sorts every alive node by rank, O(m log m), even
+// when the batch touched a handful of edges. This module replaces the
+// sort with a merge driven by the batch's structural footprint.
 //
-// ShardContraction retains, per shard, across epochs:
-//   - the slot -> edge-id order the previous snapshot chose (and its
-//     inverse), so the dendrogram's structural-change journal — raw
-//     node adds / removes / re-parentings recorded by the batch
-//     algorithms themselves — translates into slot-space edits;
-//   - cache-aligned per-round node buckets for the lifting table: round
-//     k re-runs only for nodes within distance 2^k of a structural
-//     change, everything else row-copies (remap-gathered) from the
-//     previous epoch's table.
+// ShardContraction retains, per shard, across epochs the slot ->
+// edge-id order the previous snapshot chose (and its inverse), so the
+// dendrogram's structural-change journal — raw node adds / removes /
+// re-parentings recorded by the batch algorithms themselves —
+// translates into slot-space edits.
 //
 // A patched build then:
 //   1. reconciles the journal against the live dendrogram into disjoint
@@ -33,13 +24,15 @@
 //   4. recomputes per-vertex leaf hooks only for vertices whose
 //      incident edge set changed, and re-derives the CSR/count arrays
 //      through the exact code path the fresh build uses;
-//   5. patches the lifting table per round as above.
+//   5. re-derives the jump pointers in one O(m) pass, again through
+//      the fresh build's own helper. Dense slots renumber on every add
+//      or remove, so no slot-valued array survives an epoch unchanged;
+//      one linear pass is the whole cost.
 //
 // The output is bit-identical to DendrogramSnapshot::build on the same
-// dendrogram — by construction for the derived arrays (shared helper)
-// and by the dist-to-changed-ancestor argument for the lifting rows
-// (an entry is row-copied only when its whole 2^k-hop chain avoids
-// changed nodes, in which case the ancestor is unchanged too). The
+// dendrogram: the merge reproduces the fresh build's rank order, parent
+// pointers and leaf hooks come from the same live dendrogram, and every
+// derived array comes from a helper both paths share. The
 // engine's fuzz harness pins this byte-for-byte through SnapshotCodec
 // across randomized schedules, including through persist::recover().
 #pragma once
@@ -64,12 +57,9 @@ class ShardContraction {
 
   /// Outcome of one advance(), surfaced into EpochDelta / EngineStats.
   struct PatchStats {
-    bool patched = false;        // false: fresh rebuild
-    bool fallback = false;       // viability re-check failed at
-                                 // materialization (counted rebuilt)
-    uint32_t rounds_total = 0;   // lifting rounds in the new table
-    uint32_t rounds_rerun = 0;   // rounds recomputed rather than copied
-    uint64_t nodes_patched = 0;  // per-round node entries recomputed
+    bool patched = false;   // false: fresh rebuild
+    bool fallback = false;  // viability re-check failed at
+                            // materialization (counted rebuilt)
   };
 
   /// `incremental` off = always delegate to the fresh build and never
@@ -114,28 +104,10 @@ class ShardContraction {
   std::vector<int32_t> slot_of_;
   std::shared_ptr<const DendrogramSnapshot> last_;
 
-  // Per-round node buckets for the lifting-table patch, cache-aligned
-  // per round (psac idiom) and retained across epochs so steady-state
-  // patches do not reallocate.
-  struct alignas(64) Round {
-    std::vector<int32_t> bucket;  // slots whose re-run starts this round
-  };
-  std::vector<Round> rounds_;
   // Reusable scratch (sized to the shard, allocated once).
   std::vector<int32_t> remap_;    // old slot -> new slot / kRemovedSlot
-  std::vector<int32_t> old_of_;   // new slot -> old slot / -1 (added)
-  /// Survivor runs of the rank merge: `len` consecutive old slots from
-  /// `old_start` landed at `new_start`. The lifting-table gather streams
-  /// these instead of dereferencing old_of_ per entry — the same
-  /// information, but the access pattern is explicit block copies.
-  struct Run {
-    int32_t old_start, new_start, len;
-  };
-  std::vector<Run> runs_;
-  std::vector<uint32_t> dist_;    // new slot -> hops to changed ancestor
-  std::vector<int32_t> active_;   // cumulative re-run list across rounds
   std::vector<uint8_t> seen_;     // edge-id stamps for journal dedup
-  std::vector<uint32_t> depth_;   // scratch for the fused dist/depth pass
+  std::vector<uint32_t> depth_;   // scratch for derive_jumps
   std::vector<uint8_t> vmoved_;   // vertex stamps: e*_v re-resolved this epoch
 };
 

@@ -107,17 +107,12 @@ struct EpochDelta {
   /// Per-shard materialization record for the shards this epoch rebuilt
   /// (clean shards keep the zero record): whether the incremental
   /// builder patched the previous arrays copy-on-write or rebuilt from
-  /// scratch, and — when it patched — how many contraction rounds
-  /// re-ran vs row-copied and how many per-round node entries were
-  /// recomputed. The patch-vs-rebuild gate is re-verified at
+  /// scratch. The patch-vs-rebuild gate is re-verified at
   /// materialization exactly like label_patch_viable below; `fallback`
   /// records the re-check failing after the journal pre-filter passed.
   struct ShardPatch {
     uint8_t mode = 0;      // 0 = rebuilt fresh, 1 = patched COW
     uint8_t fallback = 0;  // exact viability re-check failed
-    uint32_t rounds_total = 0;
-    uint32_t rounds_rerun = 0;
-    uint64_t nodes_patched = 0;
   };
   std::vector<ShardPatch> shard_patch;
   /// Cross-shard edge-table churn this flush.

@@ -185,7 +185,6 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
     seed.shards_ns = shards_span.stop();
   }
   uint64_t patched = 0, fallbacks = 0;
-  uint64_t rounds_total = 0, rounds_rerun = 0, nodes_patched = 0;
   for (size_t k = 0; k < shards_.size(); ++k) {
     if (prev && !dirty_[k]) {
       ++reused;
@@ -195,15 +194,7 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
       EpochDelta::ShardPatch& sp = snap->delta_.shard_patch[k];
       sp.mode = ps.patched ? 1 : 0;
       sp.fallback = ps.fallback ? 1 : 0;
-      sp.rounds_total = ps.rounds_total;
-      sp.rounds_rerun = ps.rounds_rerun;
-      sp.nodes_patched = ps.nodes_patched;
-      if (ps.patched) {
-        ++patched;
-        rounds_total += ps.rounds_total;
-        rounds_rerun += ps.rounds_rerun;
-        nodes_patched += ps.nodes_patched;
-      }
+      if (ps.patched) ++patched;
       if (ps.fallback) ++fallbacks;
     }
     dirty_[k] = 0;
@@ -254,12 +245,6 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
                                               std::memory_order_relaxed);
     stats_->shard_patch_fallbacks.fetch_add(fallbacks,
                                             std::memory_order_relaxed);
-    stats_->contraction_rounds_total.fetch_add(rounds_total,
-                                               std::memory_order_relaxed);
-    stats_->contraction_rounds_rerun.fetch_add(rounds_rerun,
-                                               std::memory_order_relaxed);
-    stats_->contraction_nodes_patched.fetch_add(nodes_patched,
-                                                std::memory_order_relaxed);
     stats_->epochs_published.fetch_add(1, std::memory_order_relaxed);
   }
   return snap;

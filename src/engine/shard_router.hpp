@@ -94,8 +94,8 @@ class ShardRouter {
 
   ShardMap map_;
   std::vector<std::unique_ptr<DynamicClustering>> shards_;
-  // Per-shard incremental snapshot builders (retained contraction-round
-  // state; contraction.hpp), 1:1 with shards_.
+  // Per-shard incremental snapshot builders (retained slot order;
+  // contraction.hpp), 1:1 with shards_.
   std::vector<ShardContraction> contraction_;
   std::vector<char> dirty_;
   // Cross-shard edge table (mutable side; CrossEdgeView is the frozen one).

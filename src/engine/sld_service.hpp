@@ -81,7 +81,7 @@ struct ServiceConfig {
   bool capture_edges = false;
   /// Dirty-shard snapshots patch the previous epoch's arrays
   /// copy-on-write when the batch's structural footprint is small
-  /// (retained contraction-round state; engine/contraction.hpp). Off:
+  /// (retained per-shard slot order; engine/contraction.hpp). Off:
   /// every dirty shard rebuilds from scratch — the comparison baseline;
   /// either way the published snapshots are bit-identical.
   bool incremental_snapshots = true;

@@ -53,37 +53,32 @@ std::shared_ptr<const DendrogramSnapshot> DendrogramSnapshot::build(
 
   s.derive_csr_and_counts();
 
-  // Binary lifting over parent pointers.
-  s.levels_ = s.compute_levels();
-  s.up_.assign(static_cast<size_t>(s.levels_) * m, kNoSlot);
-  if (m) {
-    std::copy(s.parent_.begin(), s.parent_.end(), s.up_.begin());
-    for (int k = 1; k < s.levels_; ++k) {
-      for (size_t i = 0; i < m; ++i) {
-        int32_t half = s.up_[(k - 1) * m + i];
-        s.up_[k * m + i] = half == kNoSlot ? kNoSlot : s.up_[(k - 1) * m + half];
-      }
-    }
-  }
+  std::vector<uint32_t> depth;
+  s.derive_jumps(depth);
   if (ids_out) *ids_out = std::move(ids);
   return snap;
 }
 
-int DendrogramSnapshot::compute_levels() const {
-  // Sizing the table by the real maximum depth rather than log2(m)
-  // keeps it small on the shallow dendrograms random weights produce;
-  // a degenerate sorted-weight chain degrades back to log2(m) rounds.
-  // Parents occupy larger slots, so a descending pass sees every
-  // parent's depth before its children need it.
+void DendrogramSnapshot::derive_jumps(std::vector<uint32_t>& depth) {
+  // Skew-binary jump pointers: when the parent's jump and that jump's
+  // own jump span equal depths L, a node jumps past both (2L + 1
+  // levels); otherwise it jumps to its parent. Jump lengths along any
+  // root path then follow a skew-binary decomposition, so an ancestor
+  // search takes O(log depth) steps.
   const size_t m = parent_.size();
-  std::vector<uint32_t> depth(m, 0);
-  uint32_t maxd = 0;
+  depth.resize(m);
+  jump_.resize(m);
   for (size_t i = m; i-- > 0;) {
     const int32_t p = parent_[i];
-    if (p != kNoSlot) depth[i] = depth[p] + 1;
-    if (depth[i] > maxd) maxd = depth[i];
+    if (p == kNoSlot) {
+      depth[i] = 0;
+      jump_[i] = static_cast<int32_t>(i);
+      continue;
+    }
+    depth[i] = depth[p] + 1;
+    const int32_t j = jump_[p], jj = jump_[j];
+    jump_[i] = depth[p] - depth[j] == depth[j] - depth[jj] ? jj : p;
   }
-  return levels_for_depth(maxd);
 }
 
 void DendrogramSnapshot::derive_csr_and_counts() {
@@ -148,9 +143,12 @@ void DendrogramSnapshot::derive_counts() {
 int32_t DendrogramSnapshot::top_of(vertex_id v, double tau) const {
   int32_t x = leaf_parent_[v - base_];
   if (x == kNoSlot || weight_[x] > tau) return kNoSlot;
-  for (int k = levels_ - 1; k >= 0; --k) {
-    int32_t a = up(k, x);
-    if (a != kNoSlot && weight_[a] <= tau) x = a;
+  // Weights never decrease towards the root, so a jump whose target is
+  // within tau skips only nodes within tau. A non-root's jump is a
+  // strict ancestor, so every step climbs.
+  for (int32_t p; (p = parent_[x]) != kNoSlot && weight_[p] <= tau;) {
+    const int32_t j = jump_[x];
+    x = weight_[j] <= tau ? j : p;
   }
   return x;
 }

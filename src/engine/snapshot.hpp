@@ -10,10 +10,12 @@
 //     computes subtree vertex counts bottom-up;
 //   - CSR child lists (internal children) and leaf lists (vertices
 //     whose minimum incident edge e*_v is the node) for cluster report;
-//   - a binary-lifting table over parent pointers: because weights
-//     increase towards the root, the top cluster node of v at
-//     threshold tau ("highest ancestor of e*_v with weight <= tau")
-//     descends the table in O(log h).
+//   - one skew-binary jump pointer per node (Myers, "An applicative
+//     random-access stack", IPL 1983): because weights never decrease
+//     towards the root, the top cluster node of v at threshold tau
+//     ("highest ancestor of e*_v with weight <= tau") is found by
+//     taking the jump while its weight is <= tau and the parent
+//     otherwise — O(log h) steps, O(m) to build, 4 B per node.
 //
 // Build is O(n + m log m) from const DynSLD accessors only; every query
 // method is const and safe from any number of threads. Readers hold the
@@ -110,7 +112,7 @@ class DendrogramSnapshot {
   /// Build the shard's flat-label block in one linear sweep: a
   /// descending slot pass resolves every node's top cluster node (the
   /// parent slot is always larger), then a vertex pass reads labels off
-  /// e*_v. O(n + |nodes|) — no per-vertex binary lifting.
+  /// e*_v. O(n + |nodes|) — no per-vertex ancestor search.
   FlatLabels flat_labels(double tau) const;
 
   /// §6.1 flat clustering over the local vertex range; label[i] is a
@@ -150,20 +152,11 @@ class DendrogramSnapshot {
   /// still computes counts through the exact shared code.
   void derive_counts();
 
-  /// Level count for the binary-lifting table: enough rounds to cover
-  /// the deepest root-to-node chain (2^levels - 1 hops), computed from
-  /// parent_. Shared by the fresh build and the incremental patch so
-  /// the table shape is identical between the two paths.
-  int compute_levels() const;
-
-  /// Rounds needed to cover chains of `maxd` hops (2^levels - 1 >=
-  /// maxd). The patch path folds the depth computation into a pass it
-  /// already makes, then sizes the table through this same formula.
-  static int levels_for_depth(uint32_t maxd) {
-    int lv = 1;
-    while ((uint32_t{1} << lv) < maxd + 1) ++lv;
-    return lv;
-  }
+  /// Derive jump_ from parent_ in one descending slot pass (parents
+  /// sit at larger slots), using `depth` as scratch. Shared by the
+  /// fresh build and the incremental patch so the jump array is
+  /// bit-identical between the two paths by construction.
+  void derive_jumps(std::vector<uint32_t>& depth);
 
   vertex_id n_ = 0;
   vertex_id base_ = 0;
@@ -175,10 +168,7 @@ class DendrogramSnapshot {
   std::vector<int32_t> leaf_parent_;  // per vertex: slot of e*_v or kNoSlot
   std::vector<uint32_t> child_off_, child_list_;
   std::vector<uint32_t> leaf_off_, leaf_list_;
-  int levels_ = 0;
-  std::vector<int32_t> up_;  // levels_ x num_nodes, level-major
-
-  int32_t up(int k, int32_t s) const { return up_[k * weight_.size() + s]; }
+  std::vector<int32_t> jump_;  // skew-binary ancestor; a root jumps to itself
 };
 
 }  // namespace dynsld::engine

@@ -52,9 +52,10 @@ namespace dynsld::engine {
   X(shard_snapshots_reused)                                               \
   X(shard_snapshots_patched) /* built by COW-patching the prev arrays */  \
   X(shard_patch_fallbacks)   /* patch gate failed at materialization */   \
-  X(contraction_rounds_total)  /* lifting rounds across patched builds */ \
-  X(contraction_rounds_rerun)  /* rounds recomputed (not row-copied) */   \
-  X(contraction_nodes_patched) /* per-round node entries recomputed */    \
+  /* Retired with the snapshot lifting table: never incremented, */       \
+  /* kept only for readers that still name them. */                       \
+  X(contraction_rounds_total)                                             \
+  X(contraction_rounds_rerun)                                             \
   /* -- query front-end -- */                                             \
   X(q_same_cluster)                                                       \
   X(q_cluster_size)                                                       \
@@ -398,13 +399,9 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
                  (unsigned long long)r.cross_uf_incremental);
   if (r.shard_snapshots_patched || r.shard_patch_fallbacks)
     std::fprintf(out,
-                 "shard patching: %llu patched (%llu fallbacks)  rounds %llu "
-                 "rerun / %llu total  %llu nodes patched\n",
+                 "shard patching: %llu patched (%llu fallbacks)\n",
                  (unsigned long long)r.shard_snapshots_patched,
-                 (unsigned long long)r.shard_patch_fallbacks,
-                 (unsigned long long)r.contraction_rounds_rerun,
-                 (unsigned long long)r.contraction_rounds_total,
-                 (unsigned long long)r.contraction_nodes_patched);
+                 (unsigned long long)r.shard_patch_fallbacks);
   if (r.labels_rebuilt || r.labels_patched || r.labels_reused)
     std::fprintf(out,
                  "flat labels: %llu rebuilt / %llu patched / %llu reused\n",

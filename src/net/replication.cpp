@@ -124,9 +124,12 @@ void ReplicationSource::on_checkpoint(uint64_t checkpoint_epoch) {
   if (!persist::CheckpointWriter::read(bytes, &ck)) return;
   std::lock_guard<std::mutex> lk(mu_);
   if (checkpoint_epoch <= ckpt_epoch_) return;
+  // Keep the records the new checkpoint covers until the next one: the
+  // server fans out on its own thread, so a connected replica may not
+  // have been sent them yet. Only the previous checkpoint's span goes.
+  ring_.erase(ring_.begin(), ring_.lower_bound(ckpt_epoch_ + 1));
   ckpt_epoch_ = checkpoint_epoch;
   ckpt_bytes_ = std::move(bytes);
-  ring_.erase(ring_.begin(), ring_.lower_bound(ckpt_epoch_ + 1));
   tip_ = std::max(tip_, ckpt_epoch_);
 }
 
@@ -135,8 +138,8 @@ ReplicationSource::Bootstrap ReplicationSource::bootstrap() {
   Bootstrap b;
   b.checkpoint_epoch = ckpt_epoch_;
   b.checkpoint_bytes = ckpt_bytes_;
-  b.records.reserve(ring_.size());
-  for (const auto& [e, bytes] : ring_) b.records.emplace_back(e, bytes);
+  for (auto it = ring_.upper_bound(ckpt_epoch_); it != ring_.end(); ++it)
+    b.records.emplace_back(it->first, it->second);
   if (obs_) {
     obs_->stats.repl_snapshots_served.fetch_add(1, std::memory_order_relaxed);
     obs_->stats.repl_records_streamed.fetch_add(b.records.size(),

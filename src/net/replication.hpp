@@ -5,9 +5,11 @@
 // The feed is the durability stream, tee'd: every flush hands its WAL
 // record bytes to the source through SldService::set_epoch_tap — the
 // SAME bytes the WAL appends, so a replica applies bit-for-bit what
-// recovery would read from disk. The source keeps a ring of records
-// newer than the latest checkpoint plus that checkpoint's file bytes;
-// a replica bootstraps from (checkpoint, records...) exactly like
+// recovery would read from disk. The source keeps the latest
+// checkpoint's file bytes plus a ring of records newer than the
+// checkpoint before it (so a connected replica still streams records
+// a new checkpoint covers but the server had not yet sent it);
+// a replica bootstraps from (checkpoint, newer records...) exactly like
 // persist::recover() bootstraps from the directory, then tails live
 // records. Why a tee instead of tailing the files directly: the WAL
 // rides buffered stdio whose tail only reaches the filesystem at fsync

@@ -1,5 +1,7 @@
 #include "parallel/scheduler.hpp"
 
+#include <pthread.h>
+
 #include <cassert>
 #include <cstdlib>
 #include <mutex>
@@ -11,6 +13,9 @@ namespace {
 
 // Identity of the current thread inside the pool; -1 for foreign threads.
 thread_local int tls_worker_id = -1;
+
+// Handles of workers that did not survive a fork (after_fork_child).
+std::vector<std::thread>* orphaned_workers = nullptr;
 
 int default_num_workers() {
   if (const char* env = std::getenv("DYNSLD_NUM_THREADS")) {
@@ -54,7 +59,30 @@ struct Scheduler::WorkerQueue {
 
 Scheduler& Scheduler::instance() {
   static Scheduler sched(default_num_workers());
+  static const int atfork = pthread_atfork(
+      &Scheduler::before_fork, &Scheduler::after_fork_parent,
+      &Scheduler::after_fork_child);
+  (void)atfork;
   return sched;
+}
+
+void Scheduler::before_fork() {
+  for (auto& q : instance().queues_) q->mu.lock();
+}
+
+void Scheduler::after_fork_parent() {
+  for (auto& q : instance().queues_) q->mu.unlock();
+}
+
+void Scheduler::after_fork_child() {
+  Scheduler& s = instance();
+  for (auto& q : s.queues_) q->mu.unlock();
+  // The worker threads did not survive the fork: their handles can be
+  // neither joined nor destroyed (joinable), so they are parked for
+  // good.
+  orphaned_workers = new std::vector<std::thread>(std::move(s.threads_));
+  s.threads_.clear();
+  s.num_workers_ = 1;
 }
 
 Scheduler::Scheduler(int num_workers) { set_num_workers(num_workers); }

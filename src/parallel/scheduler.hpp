@@ -100,6 +100,16 @@ class Scheduler {
   void start_threads();
   void stop_threads();
 
+  // pthread_atfork handlers for the global instance. A worker may hold
+  // a deque lock at the instant another thread forks, and the child
+  // inherits that lock held with no worker left to release it; its
+  // first push would then block forever. So the forking thread takes
+  // every deque lock first and both sides release them. The child has
+  // no workers, so it also drops to one worker (sequential fork-join).
+  static void before_fork();
+  static void after_fork_parent();
+  static void after_fork_child();
+
   int num_workers_ = 1;
   std::atomic<bool> stop_{false};
   std::atomic<bool> external_busy_{false};

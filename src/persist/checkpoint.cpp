@@ -16,7 +16,10 @@ namespace {
 
 constexpr char kMagic[8] = {'D', 'S', 'L', 'D', 'C', 'K', 'P', '1'};
 // v2: EpochDelta gained per-shard patch records (shard_patch).
-constexpr uint32_t kVersion = 2;
+// v3: each shard encodes one jump-pointer array in place of the
+//     binary-lifting table (levels + level-major rows), and the
+//     per-shard patch records drop their lifting-round counts.
+constexpr uint32_t kVersion = 3;
 
 }  // namespace
 
@@ -36,8 +39,7 @@ void SnapshotCodec::encode_shard(const engine::DendrogramSnapshot& d,
   out.pod_vec(d.child_list_);
   out.pod_vec(d.leaf_off_);
   out.pod_vec(d.leaf_list_);
-  out.u32(static_cast<uint32_t>(d.levels_));
-  out.pod_vec(d.up_);
+  out.pod_vec(d.jump_);
 }
 
 void SnapshotCodec::encode(const engine::EngineSnapshot& snap,
@@ -57,15 +59,12 @@ void SnapshotCodec::encode(const engine::EngineSnapshot& snap,
   out.u32(dl.cross_erased);
   out.f64(dl.cross_min_w);
   out.u64(dl.verts_rebuilt);
-  // ShardPatch has interior padding: serialize field-wise so the file
-  // bytes stay a pure function of the state.
+  // Serialize ShardPatch field-wise so the file bytes stay a pure
+  // function of the state, not of the struct layout.
   out.u64(dl.shard_patch.size());
   for (const engine::EpochDelta::ShardPatch& sp : dl.shard_patch) {
     out.u8(sp.mode);
     out.u8(sp.fallback);
-    out.u32(sp.rounds_total);
-    out.u32(sp.rounds_rerun);
-    out.u64(sp.nodes_patched);
   }
   const obs::EpochTrace& tr = snap.trace_;
   out.u64(tr.epoch);
@@ -114,9 +113,14 @@ engine::EpochManager::Snap SnapshotCodec::decode(
     d->child_list_ = in.pod_vec<uint32_t>();
     d->leaf_off_ = in.pod_vec<uint32_t>();
     d->leaf_list_ = in.pod_vec<uint32_t>();
-    d->levels_ = static_cast<int>(in.u32());
-    d->up_ = in.pod_vec<int32_t>();
-    if (!in.ok()) return nullptr;
+    d->jump_ = in.pod_vec<int32_t>();
+    if (!in.ok() || d->jump_.size() != d->parent_.size()) return nullptr;
+    // top_of follows jumps unchecked: each must name the slot itself
+    // or a larger one (an ancestor) inside the table.
+    for (size_t i = 0; i < d->jump_.size(); ++i)
+      if (d->jump_[i] < static_cast<int32_t>(i) ||
+          static_cast<size_t>(d->jump_[i]) >= d->jump_.size())
+        return nullptr;
     snap->shards_.push_back(std::move(d));
   }
   snap->cross_ = std::make_shared<const engine::CrossEdgeView>(
@@ -129,15 +133,12 @@ engine::EpochManager::Snap SnapshotCodec::decode(
   dl.cross_min_w = in.f64();
   dl.verts_rebuilt = in.u64();
   uint64_t n_patch = in.u64();
-  if (n_patch > in.remaining() / 18) return nullptr;  // 18 B encoded each
+  if (n_patch > in.remaining() / 2) return nullptr;  // 2 B encoded each
   dl.shard_patch.reserve(static_cast<size_t>(n_patch));
   for (uint64_t i = 0; i < n_patch; ++i) {
     engine::EpochDelta::ShardPatch sp;
     sp.mode = in.u8();
     sp.fallback = in.u8();
-    sp.rounds_total = in.u32();
-    sp.rounds_rerun = in.u32();
-    sp.nodes_patched = in.u64();
     dl.shard_patch.push_back(sp);
   }
   obs::EpochTrace& tr = snap->trace_;

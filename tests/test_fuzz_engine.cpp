@@ -561,12 +561,11 @@ TEST(FuzzEngine, RecoverAndDiffReplaysSchedulesBitForBit) {
   }
 }
 
-// The tentpole differential: one big shard under erase-heavy SMALL
-// batches must take the contraction patch path — counters prove most
-// lifting rounds were reused, not re-run — while staying byte-identical
-// to a from-scratch twin and the Kruskal oracle, and the patched bytes
-// must survive persist::recover() (whose replay rebuilds through the
-// restore path) unchanged.
+// The patch-path differential: one big shard under erase-heavy SMALL
+// batches must take the incremental patch path while staying
+// byte-identical to a from-scratch twin and the Kruskal oracle, and the
+// patched bytes must survive persist::recover() (whose replay rebuilds
+// through the restore path) unchanged.
 TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
   namespace fs = std::filesystem;
   const vertex_id n = 1024;
@@ -643,15 +642,10 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
 
     auto r = svc.stats();
     EXPECT_GT(r.shard_snapshots_patched, 0u);
-    ASSERT_GT(r.contraction_rounds_total, 0u);
-    // Sublinearity in action: a small cut re-runs only the rounds its
-    // footprint touches; most lifting rounds are row-copied.
-    EXPECT_LT(r.contraction_rounds_rerun, r.contraction_rounds_total);
     // Per-epoch introspection agrees with the aggregate counters.
     const EpochDelta& dl = svc.snapshot()->delta();
     ASSERT_EQ(dl.shard_patch.size(), 1u);
     EXPECT_EQ(dl.shard_patch[0].mode, 1);
-    EXPECT_LT(dl.shard_patch[0].rounds_rerun, dl.shard_patch[0].rounds_total);
   }  // clean shutdown; the directory is the survivor
 
   auto res = persist::recover(cfg);

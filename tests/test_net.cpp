@@ -638,6 +638,26 @@ TEST(Repl, Kill9WriterReplicaMatchesRecoverBitForBit) {
   EXPECT_FALSE(replica_bytes.empty());
 }
 
+/// The server fans records out on its own thread, so a record logged
+/// just before a checkpoint may not have been sent when the checkpoint
+/// lands. The checkpoint must not drop it: a replica that has applied
+/// up to the epoch before the checkpoint still reads every later record,
+/// while a fresh bootstrap starts from the checkpoint itself.
+TEST(Repl, CheckpointKeepsRecordsNotYetStreamed) {
+  TempDir dir;
+  SldService svc(net_config(dir.path));  // checkpoint every 4 epochs
+  ReplicationSource src(svc);
+  churn(svc, 8, /*seed=*/12);
+  const uint64_t ck = svc.epoch();
+  ASSERT_EQ(ck % 4, 0u);
+  ASSERT_EQ(src.bootstrap().checkpoint_epoch, ck);
+  EXPECT_TRUE(src.bootstrap().records.empty());
+  std::vector<uint64_t> epochs;
+  for (const auto& [e, bytes] : src.records_after(ck - 2))
+    epochs.push_back(e);
+  EXPECT_EQ(epochs, (std::vector<uint64_t>{ck - 1, ck}));
+}
+
 TEST(Repl, ReplicaHelloRefusedByNonPersistedServer) {
   SldService svc(net_config());  // no data dir: nothing to stream
   churn(svc, 2, /*seed=*/10);

@@ -1,5 +1,7 @@
 // Unit tests for the fork-join runtime and the sequence primitives.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <numeric>
@@ -37,6 +39,36 @@ TEST(Scheduler, ParallelForCoversRange) {
   std::vector<int> hit(n, 0);
   parallel_for(0, n, [&](size_t i) { hit[i] += 1; });
   EXPECT_EQ(std::accumulate(hit.begin(), hit.end(), 0), static_cast<int>(n));
+}
+
+/// fork() right after parallel work, while idle workers still sweep the
+/// deques under their locks: the child inherits no workers, and a deque
+/// lock a worker held at the fork must not stay locked in the child.
+/// The child's fork-join runs sequentially and finishes.
+TEST(Scheduler, ForkedChildRunsParallelWork) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan does not support fork() from a threaded process";
+#endif
+  const size_t n = 1 << 12;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<int> hit(n, 0);
+    parallel_for(0, n, [&](size_t i) { hit[i] = 1; });
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::alarm(10);  // a deadlocked child dies instead of hanging
+      std::vector<int> again(n, 0);
+      parallel_for(0, n, [&](size_t i) { again[i] = 1; });
+      ::_exit(std::accumulate(again.begin(), again.end(), 0) ==
+                      static_cast<int>(n)
+                  ? 0
+                  : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "round " << round;
+    ASSERT_EQ(WEXITSTATUS(status), 0) << "round " << round;
+  }
 }
 
 TEST(Scheduler, ParallelForEmptyAndTiny) {

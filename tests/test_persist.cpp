@@ -508,6 +508,75 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   EXPECT_EQ(persist::SnapshotCodec::decode(half, nullptr, nullptr), nullptr);
 }
 
+/// Version 3 changed the shard encoding (one jump-pointer array in
+/// place of the lifting table), so a version-2 file must be refused at
+/// the header, not decoded as version 3. The stamped file is otherwise
+/// well-formed: the CRC covers only the payload and stays valid.
+TEST(Checkpoint, ReadRejectsVersion2File) {
+  TempDir dir;
+  ServiceConfig cfg;
+  cfg.num_vertices = 16;
+  SldService svc(cfg);
+  for (vertex_id v = 0; v + 1 < 16; ++v)
+    svc.insert(v, v + 1, unique_weight(v));
+  svc.flush();
+  persist::PersistOptions opts;
+  opts.dir = dir.path;
+  persist::CheckpointWriter writer(persist::local_backend(), opts, nullptr);
+  ASSERT_TRUE(writer.write(*svc.snapshot(), /*next_ticket=*/15, {}));
+  std::string bytes;
+  ASSERT_TRUE(persist::local_backend()->read_file(
+      dir.path + "/" + persist::CheckpointWriter::file_name(
+                           svc.snapshot()->epoch()),
+      &bytes));
+  persist::CheckpointData data;
+  ASSERT_TRUE(persist::CheckpointWriter::read(bytes, &data));
+
+  constexpr size_t kVersionAt = 8;  // after the 8-byte magic
+  persist::ByteReader ver(bytes.data() + kVersionAt, 4);
+  ASSERT_EQ(ver.u32(), 3u);
+  persist::ByteWriter stamp;
+  stamp.u32(2);
+  bytes.replace(kVersionAt, 4, stamp.bytes());
+  EXPECT_FALSE(persist::CheckpointWriter::read(bytes, &data));
+}
+
+/// Decode refuses a jump pointer that top_of could not follow safely:
+/// one past the node table, or one below its own slot (not an
+/// ancestor).
+TEST(Checkpoint, DecodeRejectsJumpOutsideAncestors) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 16;
+  cfg.num_shards = 1;
+  SldService svc(cfg);
+  for (vertex_id v = 0; v + 1 < 16; ++v)
+    svc.insert(v, v + 1, unique_weight(v));
+  svc.flush();
+  auto snap = svc.snapshot();
+  persist::ByteWriter full, shard;
+  persist::SnapshotCodec::encode(*snap, full);
+  persist::SnapshotCodec::encode_shard(snap->shard(0), shard);
+  const size_t at = full.bytes().find(shard.bytes());
+  ASSERT_NE(at, std::string::npos);
+  // encode_shard ends with the jump array; its last entry is the
+  // root's, which jumps to itself (slot m - 1).
+  const size_t m = snap->shard(0).num_nodes();
+  ASSERT_GE(m, 2u);
+  const size_t root_jump = at + shard.bytes().size() - 4;
+  auto decodes = [](const std::string& bytes) {
+    persist::ByteReader r(bytes.data(), bytes.size());
+    return persist::SnapshotCodec::decode(r, nullptr, nullptr) != nullptr;
+  };
+  EXPECT_TRUE(decodes(full.bytes()));
+  for (size_t bad : {m, m - 2}) {
+    persist::ByteWriter w;
+    w.u32(static_cast<uint32_t>(bad));
+    std::string bytes = full.bytes();
+    bytes.replace(root_jump, 4, w.bytes());
+    EXPECT_FALSE(decodes(bytes)) << "jump " << bad;
+  }
+}
+
 // ---- service wiring ---------------------------------------------------
 
 TEST(Persist, FreshServiceRefusesDirWithExistingState) {
