@@ -4,8 +4,11 @@
 //   - the edge store and per-vertex incident-edge sets (for e*_v, the
 //     minimum-rank edge incident to v),
 //   - a dynamic-connectivity structure over the input forest (used by
-//     deletions to decide which side of a cut each spine node is on,
-//     and by threshold queries for path-max),
+//     deletions to find and size the pieces of a cut, as the fallback
+//     side test, and by threshold queries for path-max),
+//   - the piece labels of the last cut (see CutPieces): a BFS labeling
+//     of the smaller pieces that turns a side test into an array read,
+//     and that the dynamic-MSF replacement search consumes as is,
 //   - an optional spine index over the dendrogram itself (LCT or RC
 //     tree) maintained in lockstep with every parent change, enabling
 //     the output-sensitive algorithms and O(log n) queries.
@@ -15,9 +18,26 @@
 //   insert_output_sensitive             Thm 1.2  O(c log(1+n/c))
 //   insert_parallel / erase_parallel    Thm 1.3  O(h log(1+n/h)) work
 //   insert_parallel_output_sensitive    Thm 1.4  O(c log(1+n/c)) work
-//   insert_batch / erase_batch          Thm 1.5  O(kh log(1+n/(kh))) work
+//   insert_batch_star_merge / erase_batch
+//                                       Thm 1.5  O(kh log(1+n/(kh))) work
 // plus the dendrogram queries of §6.1 (threshold, cluster size, cluster
-// report, flat clustering).
+// report, flat clustering). insert_batch is the front door for batch
+// insertion: small batches run as Thm 1.2 singletons, larger ones as
+// Star-Merge.
+//
+// Deletion side tests (which side of the cut a spine node lies on)
+// follow the smaller-half discipline of Even–Shiloach and
+// Holm–de Lichtenberg–Thorup. The cut's pieces are found and sized in
+// O(log n) each; a piece is BFS-labeled only while the labeling fits a
+// budget proportional to the spine work (O(h) per single erase, O(kh)
+// per batch), so Thm 1.1/1.5's bounds hold. A labeled side makes the
+// test a mark lookup; otherwise it is one connectivity find_root,
+// matched against the pieces' cached roots. Only the ancestors of cut
+// nodes are tested, each once: a spine node whose subtree holds no cut
+// edge is a cluster that stays connected, so it lies on its own side
+// by construction. A batch memoizes each ancestor's piece across the
+// spines that share it, and needs the find_root only for nodes above a
+// cut edge that bounds an unlabeled smaller piece.
 //
 // All methods keep the structure exactly equal to the Kruskal-reference
 // SLD of the current edge set (verified exhaustively in tests); the
@@ -62,9 +82,10 @@ class DynSLD {
   /// index maintenance. Returns the new edge's id.
   edge_id insert(vertex_id u, vertex_id v, double w);
 
-  /// Delete edge e: unmerge its characteristic spines using
-  /// connectivity queries against the cut forest (Algorithm 2),
-  /// O(h log(1+n/h)).
+  /// Delete edge e: unmerge its characteristic spines (Algorithm 2),
+  /// O(h log(1+n/h)). The nodes below e keep their side untested; each
+  /// ancestor of e is side-tested once and joins the chain of the side
+  /// it lands on.
   void erase(edge_id e);
 
   // ---- Theorem 1.2: output-sensitive insertion ----
@@ -80,8 +101,9 @@ class DynSLD {
   /// them by rank, and applying the changed pointers (§3.2).
   edge_id insert_parallel(vertex_id u, vertex_id v, double w);
 
-  /// Delete by extracting spines, batch side queries, parallel filter,
-  /// and bulk pointer application (§3.2).
+  /// Delete by extracting spines, piece-label side queries, parallel
+  /// filter, and bulk pointer application (§3.2): the one-edge case of
+  /// erase_batch's shape.
   void erase_parallel(edge_id e);
 
   // ---- Theorem 1.4: parallel output-sensitive insertion ----
@@ -98,17 +120,73 @@ class DynSLD {
     double weight;
   };
 
-  /// Batch insertion via tree contraction over the incidence graph and
-  /// Star-Merge per contracted star (Algorithm 3). The batch together
-  /// with the current forest must remain acyclic. A one-edge batch takes
-  /// insert_output_sensitive (Thm 1.2) with a spine index, insert
-  /// (Thm 1.1) without one.
+  /// Batches of at most this many edges insert as singletons. Star-Merge
+  /// extracts every satellite's and center's full spine, O(kh), while a
+  /// Thm 1.2 insert costs O(c log n). bench_batch's E5-X section (a
+  /// 65,536-vertex forest of perfbench ingest_forest's shape, LCT index,
+  /// 4-vCPU Xeon VM) measured singles faster at every size it tried, in
+  /// µs per edge Star-Merge vs singles: k = 16 45.8 vs 12.0; k = 64
+  /// 28.4 vs 8.4; k = 4,096 10.7 vs 5.5; k = 16,384 8.3 vs 4.3; the
+  /// whole forest into an empty structure 4.4 vs 1.6; alike with 4 pool
+  /// workers. So the bound only keeps bulk loads (a shard's initial
+  /// forest, ≥ 16,383 edges in both perfbench workloads) on the paper's
+  /// batch path, with a 4x margin.
+  static constexpr size_t kSingleInsertMaxBatch = 4096;
+
+  /// Batch insertion front door. The batch together with the current
+  /// forest must remain acyclic. Up to kSingleInsertMaxBatch edges go in
+  /// one by one: insert_output_sensitive (Thm 1.2) with a spine index,
+  /// insert (Thm 1.1) without one. Larger batches take
+  /// insert_batch_star_merge.
   std::vector<edge_id> insert_batch(std::span<const EdgeInsert> batch);
 
-  /// Batch deletion: batch connectivity cut, then concurrent spine
-  /// unmerges whose (identical) pointer writes are deduplicated
-  /// (Algorithm 3).
-  void erase_batch(std::span<const edge_id> batch);
+  /// Batch insertion via tree contraction over the incidence graph and
+  /// Star-Merge per contracted star (Algorithm 3), whatever the batch
+  /// size. The batch together with the current forest must remain
+  /// acyclic.
+  std::vector<edge_id> insert_batch_star_merge(std::span<const EdgeInsert> batch);
+
+  /// Batch deletion: batch connectivity cut, piece labeling, then
+  /// concurrent spine unmerges whose (identical) pointer writes are
+  /// deduplicated (Algorithm 3). A spine node stays on side sv iff its
+  /// endpoint lies in sv's piece (see cut_pieces()). Pieces are labeled
+  /// smallest first within an O(kh) budget; with `label_every_piece`
+  /// every piece but the largest of each cut component is labeled, for
+  /// a caller that scans the pieces afterwards. A one-edge batch takes
+  /// erase.
+  void erase_batch(std::span<const edge_id> batch, bool label_every_piece = false);
+
+  /// The pieces of the last erase / erase_parallel / erase_batch: the
+  /// components of the cut forest that hold a cut endpoint. The pieces
+  /// of one pre-cut component form a group; the largest piece of a group
+  /// is never labeled. Valid until the next update.
+  struct CutPieces {
+    static constexpr uint32_t kNoPiece = static_cast<uint32_t>(-1);
+    std::vector<uint32_t> big_of;  // largest piece of the group, by piece
+    uint32_t num_groups = 0;
+    /// The labeled vertices, piece by piece, in BFS order.
+    std::vector<vertex_id> vertices;
+
+    size_t num_pieces() const { return root_.size(); }
+    /// Piece of a labeled vertex; kNoPiece for an unlabeled one.
+    uint32_t piece_of(vertex_id v) const {
+      return mark_[v] == stamp_ ? piece_[v] : kNoPiece;
+    }
+
+   private:
+    friend class DynSLD;
+    friend class DynSldTestPeer;
+    std::vector<uint32_t> end_piece_;  // piece of cut endpoint 2j (u), 2j+1 (v)
+    std::vector<int> root_;            // connectivity root, by piece (sorted)
+    std::vector<vertex_id> seed_;      // a cut endpoint in the piece
+    std::vector<vertex_id> size_;      // vertex count, by piece
+    std::vector<char> labeled_;        // piece fully labeled
+    std::vector<char> complete_;       // at big pieces: every other piece labeled
+    std::vector<uint32_t> mark_;       // v labeled iff mark_[v] == stamp_
+    std::vector<uint32_t> piece_;      // piece of a labeled v
+    uint32_t stamp_ = 0;
+  };
+  const CutPieces& cut_pieces() const { return pieces_; }
 
   // ---- Queries (§6.1) ----
 
@@ -233,15 +311,30 @@ class DynSLD {
   void merge_spines_parallel(edge_id a, edge_id b);
   /// Median/PWS divide-and-conquer merge (Thm 1.4).
   void merge_spines_dc(edge_id a, edge_id b);
-  /// Compute the unmerge pointer changes for deleting e (both sides),
-  /// shared by erase / erase_parallel / erase_batch. Appends to `out`.
-  /// `deleted` marks every edge being deleted in the same (batch)
-  /// operation — those nodes are dropped from the relinked spines.
-  /// `parallel` selects the §3.2 shape (parallel filter over extracted
-  /// spines) over the sequential walk.
-  void unmerge_changes(edge_id e, const std::vector<char>& deleted,
-                       bool parallel,
-                       std::vector<std::pair<edge_id, edge_id>>& out);
+  /// Thm 1.1 deletion (see erase); `label_every_piece` as in erase_batch.
+  void erase_single(edge_id e, bool label_every_piece);
+  /// The §3.2 / Algorithm 3 shape shared by erase_parallel and
+  /// erase_batch: cut every edge, extract each endpoint's spine, filter
+  /// it by the piece oracle, relink the survivors.
+  void erase_cut(std::span<const edge_id> batch, bool label_every_piece);
+  /// Emit the relink changes for one side's kept spine nodes.
+  void emit_chain(std::span<const edge_id> kept);
+  /// Endpoint i of a cut: u of edge i / 2 for even i, v for odd i.
+  static vertex_id cut_end(std::span<const WeightedEdge> cut, size_t i) {
+    return i % 2 == 0 ? cut[i / 2].u : cut[i / 2].v;
+  }
+  /// Find and size the pieces of a cut whose edges are already gone
+  /// from the connectivity forest, and group them by pre-cut component.
+  void find_pieces(std::span<const WeightedEdge> cut);
+  /// BFS-label the non-largest pieces, smallest first, while the labeled
+  /// vertex count stays within `budget` (all of them with `every`).
+  void label_pieces(bool every, size_t budget);
+  /// Side test: the piece of vertex x, which lies in the pre-cut
+  /// component whose largest piece is b. Read off the labels when they
+  /// tell, or b when x cannot lie in an unlabeled smaller piece
+  /// (!maybe_small); otherwise one connectivity find_root if `resolve`,
+  /// else kNoPiece.
+  uint32_t piece_of_vertex(vertex_id x, uint32_t b, bool maybe_small, bool resolve);
   /// Insert preamble: allocate, register, and return the two merge
   /// anchors (e*_u before insertion, e*_v before insertion).
   struct InsertPlan {
@@ -271,6 +364,22 @@ class DynSLD {
   LinkCutTree conn_;   // input forest: vertices + one node per edge
   LinkCutTree spine_;  // dendrogram spine index (kLct mode)
   std::vector<char> deleted_mark_;  // reusable scratch for unmerges
+  CutPieces pieces_;
+  // Erase-path scratch, reused across calls.
+  std::vector<std::pair<edge_id, edge_id>> changes_;
+  std::vector<std::pair<edge_id, edge_id>> real_;
+  std::vector<WeightedEdge> cut_;
+  std::vector<std::vector<edge_id>> spines_;
+  std::vector<edge_id> anc_;
+  std::vector<edge_id> kept_;
+  std::vector<char> keep_;
+  std::vector<uint32_t> order_;
+  // Nodes above a cut node in the current batch cut (== pieces_.stamp_),
+  // those above a cut edge bounding an unlabeled smaller piece, and the
+  // memoized piece of each one's endpoint u (kNoPiece: unknown).
+  std::vector<uint32_t> cut_ancestor_;
+  std::vector<uint32_t> small_ancestor_;
+  std::vector<uint32_t> ancestor_piece_;
   std::unique_ptr<rctree::RcForest> rc_spine_;  // kRc mode (see src/rctree)
 };
 

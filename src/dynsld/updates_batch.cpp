@@ -17,8 +17,9 @@
 // Every boundary node is the bottom *member* of the segment above it,
 // so group merges position it correctly with no special casing.
 //
-// Batch deletion cuts all edges from the connectivity forest, then
-// computes every unmerge against the shared pre-update dendrogram; the
+// Batch deletion cuts all edges from the connectivity forest, labels
+// the cut's smaller pieces, then computes every unmerge against the
+// shared pre-update dendrogram with the piece labels as side tests; the
 // overlapping spines produce identical pointer writes, which
 // apply_changes_tracked deduplicates (the paper's concurrency argument).
 #include <algorithm>
@@ -215,19 +216,24 @@ void DynSLD::star_merge(std::span<const edge_id> sat_edges,
 }
 
 std::vector<edge_id> DynSLD::insert_batch(std::span<const EdgeInsert> batch) {
+  if (batch.size() > kSingleInsertMaxBatch) return insert_batch_star_merge(batch);
+  // Each edge joins two components the earlier ones left apart, so the
+  // singletons yield the Star-Merge dendrogram.
+  std::vector<edge_id> ids;
+  ids.reserve(batch.size());
+  for (const EdgeInsert& e : batch) {
+    ids.push_back(index_kind_ != SpineIndex::kPointer
+                      ? insert_output_sensitive(e.u, e.v, e.weight)
+                      : insert(e.u, e.v, e.weight));
+  }
+  return ids;
+}
+
+std::vector<edge_id> DynSLD::insert_batch_star_merge(
+    std::span<const EdgeInsert> batch) {
   const size_t k = batch.size();
   std::vector<edge_id> ids(k, kNoEdge);
   if (k == 0) return ids;
-  if (k == 1) {
-    // A single edge takes the fastest sequential insert: output-sensitive
-    // (Thm 1.2) when a spine index exists, else the walk (Thm 1.1). Both
-    // yield the identical dendrogram.
-    const EdgeInsert& e = batch[0];
-    ids[0] = index_kind_ != SpineIndex::kPointer
-                 ? insert_output_sensitive(e.u, e.v, e.weight)
-                 : insert(e.u, e.v, e.weight);
-    return ids;
-  }
 
   // Snapshot component representatives before the connectivity links.
   std::vector<int> cu(k), cv(k);
@@ -334,31 +340,108 @@ std::vector<edge_id> DynSLD::insert_batch(std::span<const EdgeInsert> batch) {
   return ids;
 }
 
-void DynSLD::erase_batch(std::span<const edge_id> batch) {
+void DynSLD::erase_batch(std::span<const edge_id> batch, bool label_every_piece) {
   if (batch.empty()) return;
   if (batch.size() == 1) {
-    erase(batch[0]);
+    erase_single(batch[0], label_every_piece);
     return;
   }
+  erase_cut(batch, label_every_piece);
+}
+
+void DynSLD::erase_cut(std::span<const edge_id> batch, bool label_every_piece) {
   if (deleted_mark_.size() < edge_slots_.size()) {
     deleted_mark_.resize(edge_slots_.size(), 0);
   }
-  std::vector<WeightedEdge> eds;
-  eds.reserve(batch.size());
+  cut_.clear();
   for (edge_id e : batch) {
     assert(dendro_.alive(e));
     assert(!deleted_mark_[e] && "duplicate edge in erase_batch");
     deleted_mark_[e] = 1;
-    eds.push_back(edge_slots_[e]);
+    cut_.push_back(edge_slots_[e]);
   }
   // Batch cut: the connectivity structure reflects the final forest
   // before any side test runs.
-  for (const WeightedEdge& ed : eds) unregister_edge(ed);
-  std::vector<std::pair<edge_id, edge_id>> changes;
-  for (edge_id e : batch) {
-    unmerge_changes(e, deleted_mark_, /*parallel=*/true, changes);
+  for (const WeightedEdge& ed : cut_) unregister_edge(ed);
+  find_pieces(cut_);
+  // Characteristic spines of every cut endpoint, against the shared
+  // pre-update dendrogram. Side tests run against the whole batch's cut,
+  // so no node of a spine is on its side by construction: each is
+  // checked with the piece oracle. The spine work bounds the labeling.
+  const size_t m = 2 * cut_.size();
+  if (spines_.size() < m) spines_.resize(m);
+  size_t spine_nodes = 0;
+  for (size_t i = 0; i < m; ++i) {
+    const edge_id estar = min_incident_edge(cut_end(cut_, i));
+    if (estar == kNoEdge) {
+      spines_[i].clear();  // this side has no edges left
+    } else if (index_kind_ == SpineIndex::kRc) {
+      spines_[i] = extract_spine(estar);
+    } else {
+      spines_[i].clear();
+      for (edge_id x = estar; x != kNoEdge; x = dendro_.parent(x)) spines_[i].push_back(x);
+    }
+    spine_nodes += spines_[i].size();
   }
-  apply_changes_tracked(changes);
+  stats::bump(stats::counters().spine_nodes_touched, spine_nodes);
+  label_pieces(label_every_piece, 4 * spine_nodes + 64);
+  // Only the ancestors of cut nodes can hold vertices outside sv's
+  // piece: a node whose subtree holds no cut edge is a cluster that
+  // stays connected in the cut forest. Mark each ancestor once, with a
+  // slot for its memoized piece.
+  if (cut_ancestor_.size() < edge_slots_.size()) {
+    cut_ancestor_.resize(edge_slots_.size(), 0);
+    small_ancestor_.resize(edge_slots_.size(), 0);
+    ancestor_piece_.resize(edge_slots_.size());
+  }
+  const uint32_t stamp = pieces_.stamp_;
+  for (edge_id e : batch) {
+    for (edge_id x = dendro_.parent(e); x != kNoEdge && cut_ancestor_[x] != stamp;
+         x = dendro_.parent(x)) {
+      cut_ancestor_[x] = stamp;
+      ancestor_piece_[x] = CutPieces::kNoPiece;
+    }
+  }
+  // Where the labeling stopped short, an unlabeled vertex lies in its
+  // group's largest piece unless its node sits above a cut edge that
+  // bounds an unlabeled smaller piece: a cluster reaching into a piece
+  // from outside holds one of that piece's cut edges. Only those nodes
+  // may need the connectivity fallback.
+  for (size_t i = 0; i < m; ++i) {
+    const uint32_t p = pieces_.end_piece_[i];
+    if (pieces_.labeled_[p] || pieces_.big_of[p] == p) continue;
+    for (edge_id x = dendro_.parent(batch[i / 2]); x != kNoEdge && small_ancestor_[x] != stamp;
+         x = dendro_.parent(x)) {
+      small_ancestor_[x] = stamp;
+    }
+  }
+  // Side tests (sequential: the connectivity fallback is not
+  // thread-safe), then an order-preserving parallel filter per spine.
+  // A labeled piece never needs the fallback: an unlabeled vertex is
+  // outside it.
+  changes_.clear();
+  for (size_t i = 0; i < m; ++i) {
+    const std::vector<edge_id>& spine = spines_[i];
+    const uint32_t p = pieces_.end_piece_[i];
+    keep_.resize(spine.size());
+    for (size_t j = 0; j < spine.size(); ++j) {
+      const edge_id x = spine[j];
+      if (deleted_mark_[x] || cut_ancestor_[x] != stamp) {
+        keep_[j] = !deleted_mark_[x];
+        continue;
+      }
+      uint32_t& q = ancestor_piece_[x];
+      if (q == CutPieces::kNoPiece) {
+        q = piece_of_vertex(dendro_.node(x).u, pieces_.big_of[p],
+                            small_ancestor_[x] == stamp, !pieces_.labeled_[p]);
+      }
+      keep_[j] = q == p;
+    }
+    par::pack<edge_id>(spine, keep_, kept_);
+    emit_chain(kept_);
+  }
+  for (edge_id e : batch) changes_.emplace_back(e, kNoEdge);
+  apply_changes_tracked(changes_);
   for (edge_id e : batch) {
     deleted_mark_[e] = 0;
     dendro_.remove_node(e);
@@ -376,7 +459,7 @@ Dendrogram build_batch_parallel(vertex_id n, std::span<const WeightedEdge> edges
   par::parallel_for(0, edges.size(), [&](size_t i) {
     batch[i] = DynSLD::EdgeInsert{edges[i].u, edges[i].v, edges[i].weight};
   });
-  sld.insert_batch(batch);
+  sld.insert_batch_star_merge(batch);
   return sld.dendrogram();
 }
 

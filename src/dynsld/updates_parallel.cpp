@@ -1,9 +1,8 @@
 // Theorem 1.3 (§3.2): parallel single updates. Insertions extract both
 // characteristic spines into arrays, merge them with the parallel merge
 // primitive, and bulk-apply the changed pointers. Deletions extract the
-// spines, run the side tests, and keep each side with an
-// order-preserving parallel filter (shared with erase_batch through
-// unmerge_changes).
+// spines, run the piece-oracle side tests, and keep each side with an
+// order-preserving parallel filter (erase_batch's shape, erase_cut).
 #include "dynsld/dyn_sld.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/stats.hpp"
@@ -42,18 +41,7 @@ edge_id DynSLD::insert_parallel(vertex_id u, vertex_id v, double w) {
 }
 
 void DynSLD::erase_parallel(edge_id e) {
-  assert(dendro_.alive(e));
-  const WeightedEdge ed = edge_slots_[e];
-  unregister_edge(ed);
-  if (deleted_mark_.size() < edge_slots_.size()) {
-    deleted_mark_.resize(edge_slots_.size(), 0);
-  }
-  deleted_mark_[e] = 1;
-  std::vector<std::pair<edge_id, edge_id>> changes;
-  unmerge_changes(e, deleted_mark_, /*parallel=*/true, changes);
-  deleted_mark_[e] = 0;
-  apply_changes_tracked(changes);
-  dendro_.remove_node(e);
+  erase_cut(std::span<const edge_id>(&e, 1), /*label_every_piece=*/false);
 }
 
 }  // namespace dynsld

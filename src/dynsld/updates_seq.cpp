@@ -3,6 +3,7 @@
 // and deletion by spine unmerge in O(h log(1+n/h)).
 #include <algorithm>
 
+#include "dendrogram/static_sld.hpp"
 #include "dynsld/dyn_sld.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/stats.hpp"
@@ -94,8 +95,8 @@ void DynSLD::apply_changes_tracked(
     std::span<const std::pair<edge_id, edge_id>> changes) {
   // Filter to real changes first (batch producers may emit no-ops and
   // duplicates with identical targets).
-  std::vector<std::pair<edge_id, edge_id>> real;
-  real.reserve(changes.size());
+  std::vector<std::pair<edge_id, edge_id>>& real = real_;
+  real.clear();
   for (const auto& ch : changes) {
     if (dendro_.parent(ch.first) != ch.second) real.push_back(ch);
   }
@@ -175,67 +176,160 @@ edge_id DynSLD::insert(vertex_id u, vertex_id v, double w) {
 // Theorem 1.1: deletion by spine unmerge.
 // ---------------------------------------------------------------------
 
-void DynSLD::unmerge_changes(edge_id e, const std::vector<char>& deleted,
-                             bool parallel,
-                             std::vector<std::pair<edge_id, edge_id>>& out) {
-  const WeightedEdge ed = edge_slots_[e];
-  // The connectivity structure reflects the post-deletion forest here.
-  for (int side = 0; side < 2; ++side) {
-    vertex_id sv = side == 0 ? ed.u : ed.v;
-    edge_id estar = min_incident_edge(sv);
-    if (estar == kNoEdge) continue;  // this side has no edges left
-    // Characteristic spine: every cluster containing sv lies on it.
-    std::vector<edge_id> kept;
-    if (!parallel) {
-      for (edge_id x = estar; x != kNoEdge; x = dendro_.parent(x)) {
-        stats::bump(stats::counters().spine_nodes_touched);
-        if (deleted[x]) continue;
-        const auto& nd = dendro_.node(x);
-        stats::bump(stats::counters().connectivity_queries);
-        if (conn_.connected(conn_vertex(nd.u), conn_vertex(sv))) kept.push_back(x);
-      }
-    } else {
-      // §3.2 shape: extract the spine, batch the side queries, then an
-      // order-preserving parallel filter.
-      std::vector<edge_id> spine = extract_spine(estar);
-      stats::bump(stats::counters().spine_nodes_touched, spine.size());
-      std::vector<char> keep(spine.size());
-      // Connectivity side tests (batched against the cut forest; the
-      // LCT backend answers them one by one — see DESIGN.md).
-      for (size_t i = 0; i < spine.size(); ++i) {
-        edge_id x = spine[i];
-        if (deleted[x]) {
-          keep[i] = 0;
-          continue;
-        }
-        stats::bump(stats::counters().connectivity_queries);
-        keep[i] = conn_.connected(conn_vertex(dendro_.node(x).u),
-                                  conn_vertex(sv))
-                      ? 1
-                      : 0;
-      }
-      kept = par::pack<edge_id>(spine, keep);
-    }
-    for (size_t i = 0; i + 1 < kept.size(); ++i) out.emplace_back(kept[i], kept[i + 1]);
-    if (!kept.empty()) out.emplace_back(kept.back(), kNoEdge);
+void DynSLD::find_pieces(std::span<const WeightedEdge> cut) {
+  CutPieces& c = pieces_;
+  const size_t m = 2 * cut.size();
+  // Connectivity roots are stable until the next link or cut: find_root
+  // and tree_size never re-root.
+  c.end_piece_.resize(m);
+  c.root_.resize(m);
+  c.seed_.assign(m, kNoVertex);
+  for (size_t i = 0; i < m; ++i) {
+    c.root_[i] = conn_.find_root(conn_vertex(cut_end(cut, i)));
+    c.end_piece_[i] = static_cast<uint32_t>(c.root_[i]);  // root, for now
   }
-  out.emplace_back(e, kNoEdge);
+  std::sort(c.root_.begin(), c.root_.end());
+  c.root_.erase(std::unique(c.root_.begin(), c.root_.end()), c.root_.end());
+  const auto num = static_cast<uint32_t>(c.root_.size());
+  for (size_t i = 0; i < m; ++i) {
+    uint32_t& p = c.end_piece_[i];
+    p = static_cast<uint32_t>(
+        std::lower_bound(c.root_.begin(), c.root_.end(), static_cast<int>(p)) -
+        c.root_.begin());
+    if (c.seed_[p] == kNoVertex) c.seed_[p] = cut_end(cut, i);
+  }
+  c.seed_.resize(num);
+  // The pieces of one pre-cut component are exactly those its cut
+  // edges joined.
+  UnionFind group(num);
+  for (size_t i = 0; i < m; i += 2) group.unite(c.end_piece_[i], c.end_piece_[i + 1]);
+  c.size_.resize(num);
+  for (uint32_t p = 0; p < num; ++p) c.size_[p] = component_size(c.seed_[p]);
+  c.big_of.assign(num, CutPieces::kNoPiece);  // by group root, for now
+  for (uint32_t p = 0; p < num; ++p) {
+    uint32_t& b = c.big_of[group.find(p)];
+    if (b == CutPieces::kNoPiece || c.size_[p] > c.size_[b]) b = p;
+  }
+  c.num_groups = 0;
+  for (uint32_t p = 0; p < num; ++p) {
+    c.big_of[p] = c.big_of[group.find(p)];
+    c.num_groups += c.big_of[p] == p;
+  }
 }
 
-void DynSLD::erase(edge_id e) {
+void DynSLD::label_pieces(bool every, size_t budget) {
+  CutPieces& c = pieces_;
+  const auto num = static_cast<uint32_t>(c.num_pieces());
+  if (c.mark_.size() < n_) {
+    c.mark_.resize(n_, 0);
+    c.piece_.resize(n_, 0);
+  }
+  if (++c.stamp_ == 0) {  // wraparound: forget every old label
+    std::fill(c.mark_.begin(), c.mark_.end(), 0u);
+    std::fill(cut_ancestor_.begin(), cut_ancestor_.end(), 0u);
+    std::fill(small_ancestor_.begin(), small_ancestor_.end(), 0u);
+    c.stamp_ = 1;
+  }
+  c.vertices.clear();
+  c.labeled_.assign(num, 0);
+  c.complete_.assign(num, 1);
+  order_.clear();
+  for (uint32_t p = 0; p < num; ++p) {
+    if (c.big_of[p] != p) order_.push_back(p);
+  }
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&c](uint32_t a, uint32_t b) { return c.size_[a] < c.size_[b]; });
+  for (uint32_t p : order_) {
+    if (!every && c.vertices.size() + c.size_[p] > budget) {
+      c.complete_[c.big_of[p]] = 0;
+      continue;
+    }
+    // BFS over tree adjacency; c.vertices doubles as the queue.
+    size_t head = c.vertices.size();
+    const vertex_id seed = c.seed_[p];
+    c.mark_[seed] = c.stamp_;
+    c.piece_[seed] = p;
+    c.vertices.push_back(seed);
+    while (head < c.vertices.size()) {
+      const vertex_id x = c.vertices[head++];
+      for (const Rank& r : incident_[x]) {
+        const vertex_id y = edge_slots_[r.id].other(x);
+        if (c.mark_[y] == c.stamp_) continue;
+        c.mark_[y] = c.stamp_;
+        c.piece_[y] = p;
+        c.vertices.push_back(y);
+      }
+    }
+    c.labeled_[p] = 1;
+  }
+  stats::bump(stats::counters().side_vertices_labeled, c.vertices.size());
+}
+
+uint32_t DynSLD::piece_of_vertex(vertex_id x, uint32_t b, bool maybe_small, bool resolve) {
+  const CutPieces& c = pieces_;
+  // x shares the pre-cut component of the group, so a labeled x's piece
+  // is exact, and an unlabeled x lies in one of the group's unlabeled
+  // pieces: the largest one, if every other piece is labeled.
+  const uint32_t q = c.piece_of(x);
+  if (q != CutPieces::kNoPiece || c.complete_[b] || !maybe_small) {
+    stats::bump(stats::counters().side_tests_labeled);
+    return q != CutPieces::kNoPiece ? q : b;
+  }
+  if (!resolve) return CutPieces::kNoPiece;
+  stats::bump(stats::counters().connectivity_queries);
+  const int root = conn_.find_root(conn_vertex(x));
+  return static_cast<uint32_t>(std::lower_bound(c.root_.begin(), c.root_.end(), root) -
+                               c.root_.begin());
+}
+
+void DynSLD::emit_chain(std::span<const edge_id> kept) {
+  for (size_t i = 0; i + 1 < kept.size(); ++i) changes_.emplace_back(kept[i], kept[i + 1]);
+  if (!kept.empty()) changes_.emplace_back(kept.back(), kNoEdge);
+}
+
+void DynSLD::erase_single(edge_id e, bool label_every_piece) {
   assert(dendro_.alive(e));
   const WeightedEdge ed = edge_slots_[e];
   // Remove e from the incidence sets and the connectivity forest first:
   // e*_u / e*_v and the side tests are defined on the cut forest.
   unregister_edge(ed);
-  if (deleted_mark_.size() < edge_slots_.size()) deleted_mark_.resize(edge_slots_.size(), 0);
-  deleted_mark_[e] = 1;
-  std::vector<std::pair<edge_id, edge_id>> changes;
-  unmerge_changes(e, deleted_mark_, /*parallel=*/false, changes);
-  deleted_mark_[e] = 0;
-  apply_changes_tracked(changes);
+  // Every cluster containing u (or v) lies on the characteristic spine
+  // Spine(e*_u). Its nodes below e were formed from ranks < rank(e), so
+  // they lie on u's side already; only e's ancestors hold vertices of
+  // both sides, and each lands on exactly one.
+  anc_.clear();  // e's ancestors, bottom-up
+  for (edge_id x = dendro_.parent(e); x != kNoEdge; x = dendro_.parent(x)) {
+    anc_.push_back(x);
+  }
+  stats::bump(stats::counters().spine_nodes_touched, anc_.size());
+  cut_.assign(1, ed);
+  find_pieces(cut_);
+  label_pieces(label_every_piece, 4 * anc_.size() + 64);
+  const uint32_t pu = pieces_.end_piece_[0];
+  const uint32_t big = pieces_.big_of[pu];
+  keep_.resize(anc_.size());
+  for (size_t i = 0; i < anc_.size(); ++i) {
+    keep_[i] = piece_of_vertex(dendro_.node(anc_[i]).u, big, true, true) == pu ? 1 : 0;
+  }
+  changes_.clear();
+  for (int side = 0; side < 2; ++side) {
+    kept_.clear();
+    edge_id x = min_incident_edge(side == 0 ? ed.u : ed.v);
+    for (; x != kNoEdge && rank_of(x) < rank_of(e); x = dendro_.parent(x)) {
+      stats::bump(stats::counters().spine_nodes_touched);
+      kept_.push_back(x);
+    }
+    for (size_t i = 0; i < anc_.size(); ++i) {
+      if (keep_[i] == (side == 0 ? 1 : 0)) kept_.push_back(anc_[i]);
+    }
+    emit_chain(kept_);
+  }
+  changes_.emplace_back(e, kNoEdge);
+  apply_changes_tracked(changes_);
   dendro_.remove_node(e);
 }
+
+void DynSLD::erase(edge_id e) { erase_single(e, /*label_every_piece=*/false); }
 
 // ---------------------------------------------------------------------
 // Introspection.

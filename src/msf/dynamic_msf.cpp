@@ -9,7 +9,7 @@
 namespace dynsld {
 
 DynamicClustering::DynamicClustering(vertex_id n, SpineIndex index)
-    : n_(n), sld_(n, index), nontree_(n), mark_(n, 0), piece_(n, 0) {}
+    : n_(n), sld_(n, index), nontree_(n) {}
 
 void DynamicClustering::add_nontree(graph_edge g) {
   GraphEdge& e = edges_[g];
@@ -144,7 +144,6 @@ std::vector<DynamicClustering::graph_edge> DynamicClustering::insert_edges(
 
 void DynamicClustering::erase_edges(std::span<const graph_edge> batch) {
   std::vector<edge_id> cuts;
-  std::vector<vertex_id> ends;
   for (graph_edge g : batch) {
     assert(edge_alive(g));
     const GraphEdge& e = edges_[g];
@@ -152,90 +151,28 @@ void DynamicClustering::erase_edges(std::span<const graph_edge> batch) {
       remove_nontree(g);
     } else {
       cuts.push_back(e.sld_id);
-      ends.push_back(e.u);
-      ends.push_back(e.v);
     }
     release_handle(g);
   }
   if (cuts.empty()) return;
   search_.tree_cuts += cuts.size();
+  // With no non-tree edge alive nothing can replace a cut edge, and the
+  // cut labels only what its own side tests can afford.
+  const bool search = num_alive_ > sld_.num_edges() - cuts.size();
   // One batch cut (Thm 1.5) for every tree edge of the batch.
-  sld_.erase_batch(cuts);
-  // With no non-tree edge alive nothing can replace a cut edge.
-  if (num_alive_ > sld_.num_edges()) replace_across(ends);
+  sld_.erase_batch(cuts, /*label_every_piece=*/search);
+  if (search) replace_across();
 }
 
 void DynamicClustering::erase_edge(graph_edge g) {
   erase_edges(std::span<const graph_edge>(&g, 1));
 }
 
-void DynamicClustering::next_stamp() {
-  if (++stamp_ == 0) {
-    std::fill(mark_.begin(), mark_.end(), 0u);
-    stamp_ = 1;
-  }
-}
-
-void DynamicClustering::replace_across(std::span<const vertex_id> ends) {
-  // Pieces: the distinct post-cut components among the cut endpoints.
-  // component_id is stable here: no update runs until the winners go in.
-  std::vector<int> comp(ends.size());
-  for (size_t i = 0; i < ends.size(); ++i) comp[i] = sld_.component_id(ends[i]);
-  std::vector<int> ids(comp);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  const auto num_pieces = static_cast<uint32_t>(ids.size());
-  std::vector<uint32_t> end_piece(ends.size());
-  std::vector<vertex_id> seed(num_pieces, kNoVertex);
-  for (size_t i = 0; i < ends.size(); ++i) {
-    const auto p = static_cast<uint32_t>(
-        std::lower_bound(ids.begin(), ids.end(), comp[i]) - ids.begin());
-    end_piece[i] = p;
-    if (seed[p] == kNoVertex) seed[p] = ends[i];
-  }
-  // The pieces of one pre-cut component are exactly those the batch's
-  // cut edges joined. Each component's largest piece is never labeled
-  // or scanned: every crossing edge has an endpoint in another piece.
-  UnionFind group(num_pieces);
-  for (size_t i = 0; i < ends.size(); i += 2) {
-    group.unite(end_piece[i], end_piece[i + 1]);
-  }
-  constexpr uint32_t kNoPiece = static_cast<uint32_t>(-1);
-  std::vector<vertex_id> piece_size(num_pieces);
-  std::vector<uint32_t> big(num_pieces, kNoPiece);  // by group root
-  for (uint32_t p = 0; p < num_pieces; ++p) {
-    piece_size[p] = sld_.component_size(seed[p]);
-    uint32_t& b = big[group.find(p)];
-    if (b == kNoPiece || piece_size[p] > piece_size[b]) b = p;
-  }
-  std::vector<uint32_t> big_of(num_pieces);
-  size_t num_groups = 0;
-  for (uint32_t p = 0; p < num_pieces; ++p) {
-    big_of[p] = big[group.find(p)];
-    num_groups += big_of[p] == p;
-  }
-
-  // Label every other piece in full: BFS over tree adjacency.
-  next_stamp();
-  labeled_.clear();
-  for (uint32_t p = 0; p < num_pieces; ++p) {
-    if (big_of[p] == p) continue;
-    size_t head = labeled_.size();
-    mark_[seed[p]] = stamp_;
-    piece_[seed[p]] = p;
-    labeled_.push_back(seed[p]);
-    while (head < labeled_.size()) {
-      const vertex_id x = labeled_[head++];
-      for (const Rank& r : sld_.incident_edges(x)) {
-        const vertex_id y = sld_.edge(r.id).other(x);
-        if (mark_[y] == stamp_) continue;
-        mark_[y] = stamp_;
-        piece_[y] = p;
-        labeled_.push_back(y);
-      }
-    }
-  }
-  search_.vertices_labeled += labeled_.size();
+void DynamicClustering::replace_across() {
+  // The cut labeled every piece but the largest of each pre-cut
+  // component: every crossing edge has an endpoint in a labeled piece.
+  const DynSLD::CutPieces& pieces = sld_.cut_pieces();
+  search_.vertices_labeled += pieces.vertices.size();
 
   // One pass over the labeled vertices' non-tree lists. Non-tree edges
   // never leave their component, so an unlabeled endpoint lies in the
@@ -246,14 +183,15 @@ void DynamicClustering::replace_across(std::span<const vertex_id> ends) {
     uint32_t a, b;
   };
   std::vector<Candidate> cand;
-  for (vertex_id x : labeled_) {
-    const uint32_t p = piece_[x];
+  for (vertex_id x : pieces.vertices) {
+    const uint32_t p = pieces.piece_of(x);
     search_.nontree_scanned += nontree_[x].size();
     for (const NontreeRef& r : nontree_[x]) {
-      uint32_t q = big_of[p];
-      if (mark_[r.other] == stamp_) {
-        q = piece_[r.other];
-        if (q <= p) continue;
+      uint32_t q = pieces.piece_of(r.other);
+      if (q == DynSLD::CutPieces::kNoPiece) {
+        q = pieces.big_of[p];
+      } else if (q <= p) {
+        continue;
       }
       cand.push_back({grank(r.g), p, q});
     }
@@ -262,9 +200,9 @@ void DynamicClustering::replace_across(std::span<const vertex_id> ends) {
   // Kruskal over the pieces: the winners are the replacement edges.
   std::sort(cand.begin(), cand.end(),
             [](const Candidate& x, const Candidate& y) { return x.rank < y.rank; });
-  UnionFind joined(num_pieces);
+  UnionFind joined(pieces.num_pieces());
   std::vector<graph_edge> won;
-  const size_t max_won = num_pieces - num_groups;
+  const size_t max_won = pieces.num_pieces() - pieces.num_groups;
   for (const Candidate& c : cand) {
     if (won.size() == max_won) break;
     if (joined.connected(c.a, c.b)) continue;

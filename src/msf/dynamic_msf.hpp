@@ -12,17 +12,20 @@
 //   - deletion of a non-tree edge: O(1) swap-remove from the flat
 //     per-vertex non-tree lists.
 //   - deletion of k tree edges (one batch, the batch-dynamic shape of
-//     [48]): cut all k with one DynSLD::erase_batch (Thm 1.5), label
-//     the resulting pieces once, then run one Kruskal pass over the
-//     non-tree edges that cross pieces. Per cut component, every piece
-//     but the largest (sizes from the connectivity forest, O(log n)
-//     each) is labeled by BFS over tree adjacency, and only the labeled
-//     vertices' non-tree lists are scanned: O(sum of the non-largest
-//     pieces + their non-tree degree + c log c) for c crossing
-//     candidates. Exact, because every surviving tree edge stays in
-//     the new MSF (cycle property): MSF(G - D) = (T - D) + Kruskal
-//     over the crossing candidates. With no non-tree edge alive the
-//     labeling is skipped altogether.
+//     [48]): cut all k with one DynSLD::erase_batch (Thm 1.5), then
+//     run one Kruskal pass over the non-tree edges that cross pieces.
+//     The cut itself labels the pieces, once, for both layers: per cut
+//     component, every piece but the largest (sizes from the
+//     connectivity forest, O(log n) each) is BFS-labeled over tree
+//     adjacency inside DynSLD's cut step, where the labels also answer
+//     the dendrogram's side tests (DynSLD::cut_pieces). Only the
+//     labeled vertices' non-tree lists are scanned: O(sum of the
+//     non-largest pieces + their non-tree degree + c log c) for c
+//     crossing candidates. Exact, because every surviving tree edge
+//     stays in the new MSF (cycle property): MSF(G - D) = (T - D) +
+//     Kruskal over the crossing candidates. With no non-tree edge alive
+//     the cut labels only what its own side tests can afford (an O(kh)
+//     budget) and the search is skipped.
 // The forest is always a minimum spanning forest, and with distinct
 // weights the exact MSF under the (weight, graph-edge-id) order. Among
 // tied weights the insertion swap compares DynSLD's path maximum, which
@@ -66,28 +69,28 @@ class DynamicClustering {
 
   /// Batch insertion, dispatching per the paper's theorems by batch
   /// shape: a singleton goes through the single-update path (a tree
-  /// edge goes in through a one-edge DynSLD::insert_batch, which uses
-  /// the output-sensitive Thm 1.2 insertion when a spine index is
-  /// present, the Thm 1.1 walk otherwise); a larger batch is classified
-  /// by component so the acyclic subset runs through
-  /// DynSLD::insert_batch (Thm 1.5) and only cycle-closing edges take
-  /// the sequential swap path. Returns handles aligned with `batch`.
+  /// edge goes in through a one-edge DynSLD::insert_batch); a larger
+  /// batch is classified by component so the acyclic subset runs
+  /// through one DynSLD::insert_batch and only cycle-closing edges take
+  /// the sequential swap path. insert_batch runs Thm 1.2 singles (the
+  /// Thm 1.1 walk without a spine index) up to
+  /// DynSLD::kSingleInsertMaxBatch edges, Star-Merge (Thm 1.5) past it.
+  /// Returns handles aligned with `batch`.
   std::vector<graph_edge> insert_edges(std::span<const EdgeUpdate> batch);
 
   /// Batch deletion. Non-tree deletions are local swap-removes. All
   /// tree deletions are cut at once through DynSLD::erase_batch
-  /// (Thm 1.5); then, unless no non-tree edge is alive, the pieces are
-  /// labeled once and one Kruskal pass over the crossing non-tree edges
-  /// picks the replacements, which go back in through one insert_batch
-  /// (Thm 1.5; a single winner takes its Thm 1.2 branch). Handles
-  /// must be alive and distinct.
+  /// (Thm 1.5); then, unless no non-tree edge is alive, one Kruskal
+  /// pass over the non-tree edges crossing the cut's pieces (labeled
+  /// once, by the cut itself) picks the replacements, which go back in
+  /// through one insert_batch. Handles must be alive and distinct.
   void erase_edges(std::span<const graph_edge> batch);
 
   /// Cumulative replacement-search work (plain counters, never reset;
   /// callers diff two reads to get a batch's or a flush's share).
   struct SearchStats {
     uint64_t tree_cuts = 0;         // tree edges cut by erase batches
-    uint64_t vertices_labeled = 0;  // vertices the piece BFS labeled
+    uint64_t vertices_labeled = 0;  // labeled vertices the search consumed
     uint64_t nontree_scanned = 0;   // non-tree list entries examined
     uint64_t replacements = 0;      // non-tree edges promoted to the MSF
   };
@@ -155,12 +158,10 @@ class DynamicClustering {
   void bind_tree(graph_edge g, edge_id sld_id);
   /// Free a handle whose forest/non-tree residue is already gone.
   void release_handle(graph_edge g);
-  /// After one batch cut: label the pieces around the cut endpoints
-  /// (`ends` holds u, v of every cut edge), collect the non-tree edges
-  /// crossing pieces, and reinstate the Kruskal winners among them.
-  void replace_across(std::span<const vertex_id> ends);
-  /// Start a new labeling: bump stamp_, clearing mark_ on wraparound.
-  void next_stamp();
+  /// After one batch cut whose pieces DynSLD labeled (see
+  /// DynSLD::cut_pieces): collect the non-tree edges crossing pieces and
+  /// reinstate the Kruskal winners among them.
+  void replace_across();
 
   vertex_id n_;
   DynSLD sld_;
@@ -177,14 +178,6 @@ class DynamicClustering {
   std::vector<std::vector<NontreeRef>> nontree_;
   // Reverse map: forest edge id -> graph edge id.
   std::vector<graph_edge> sld_to_graph_;
-  // Replacement-search scratch, reused across batches: v is labeled in
-  // the current search iff mark_[v] == stamp_, and then lies in piece
-  // piece_[v]; labeled_ holds the labeled vertices, piece by piece, in
-  // BFS order (it doubles as the BFS queue).
-  std::vector<uint32_t> mark_;
-  std::vector<uint32_t> piece_;
-  uint32_t stamp_ = 0;
-  std::vector<vertex_id> labeled_;
   SearchStats search_;
 };
 

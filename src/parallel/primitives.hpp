@@ -118,18 +118,32 @@ std::vector<T> filter(std::span<const T> in, Pred pred) {
   return out;
 }
 
-/// pack: keep in[i] where keep[i] is nonzero, preserving order.
+/// pack: keep in[i] where keep[i] is nonzero, preserving order, into
+/// `out` (resized; its capacity is reused).
 template <typename T>
-std::vector<T> pack(std::span<const T> in, std::span<const char> keep) {
+void pack(std::span<const T> in, std::span<const char> keep, std::vector<T>& out) {
   const size_t n = in.size();
+  if (n <= kSeqThreshold) {
+    out.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (keep[i]) out.push_back(in[i]);
+    }
+    return;
+  }
   std::vector<size_t> flags(n);
   parallel_for(0, n, [&](size_t i) { flags[i] = keep[i] ? 1 : 0; });
   std::vector<size_t> offsets(n);
   size_t total = scan_exclusive<size_t>(flags, offsets);
-  std::vector<T> out(total);
+  out.resize(total);
   parallel_for(0, n, [&](size_t i) {
     if (flags[i]) out[offsets[i]] = in[i];
   });
+}
+
+template <typename T>
+std::vector<T> pack(std::span<const T> in, std::span<const char> keep) {
+  std::vector<T> out;
+  pack(in, keep, out);
   return out;
 }
 

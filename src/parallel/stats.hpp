@@ -12,7 +12,9 @@
 namespace dynsld::stats {
 
 struct Counters {
-  std::atomic<uint64_t> connectivity_queries{0};  // side-of-cut tests
+  std::atomic<uint64_t> connectivity_queries{0};  // side-of-cut tests via the LCT
+  std::atomic<uint64_t> side_tests_labeled{0};    // side tests via piece labels
+  std::atomic<uint64_t> side_vertices_labeled{0}; // vertices the piece BFS labeled
   std::atomic<uint64_t> pws_queries{0};           // path weight searches
   std::atomic<uint64_t> median_queries{0};        // path median queries
   std::atomic<uint64_t> pointer_writes{0};        // dendrogram parent changes
@@ -22,6 +24,8 @@ struct Counters {
 
   void reset() {
     connectivity_queries = 0;
+    side_tests_labeled = 0;
+    side_vertices_labeled = 0;
     pws_queries = 0;
     median_queries = 0;
     pointer_writes = 0;

@@ -1,7 +1,8 @@
 // Theorem 1.5 equivalence tests: batch insertions (tree contraction +
-// Star-Merge) and batch deletions against the Kruskal reference, across
-// batch sizes, forest shapes, and spine indices; plus the batch-based
-// parallel static construction.
+// Star-Merge, and the insert_batch front door that sends small batches
+// through Thm 1.2 singletons) and batch deletions against the Kruskal
+// reference, across batch sizes, forest shapes, and spine indices; plus
+// the batch-based parallel static construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "dynsld/dyn_sld.hpp"
 #include "graph/generators.hpp"
 #include "parallel/random.hpp"
+#include "parallel/stats.hpp"
 #include "test_util.hpp"
 
 namespace dynsld {
@@ -34,15 +36,21 @@ std::vector<DynSLD::EdgeInsert> to_batch(std::span<const WeightedEdge> edges) {
 struct BatchParam {
   const char* name;
   SpineIndex index;
+  bool star_merge;  // insert_batch_star_merge, else the insert_batch front door
 };
 
-class BatchCombo : public ::testing::TestWithParam<BatchParam> {};
+class BatchCombo : public ::testing::TestWithParam<BatchParam> {
+ protected:
+  std::vector<edge_id> insert_batch(DynSLD& s, std::span<const DynSLD::EdgeInsert> b) {
+    return GetParam().star_merge ? s.insert_batch_star_merge(b) : s.insert_batch(b);
+  }
+};
 
 TEST_P(BatchCombo, WholeTreeAsOneBatch) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     gen::Forest f = gen::random_tree(60, seed);
     DynSLD s(f.n, GetParam().index);
-    auto ids = s.insert_batch(to_batch(f.edges));
+    auto ids = insert_batch(s, to_batch(f.edges));
     EXPECT_EQ(ids.size(), f.edges.size());
     expect_matches_reference(s);
   }
@@ -62,7 +70,7 @@ TEST_P(BatchCombo, IncrementalBatches) {
     while (pos < order.size()) {
       size_t hi = std::min(order.size(), pos + chunk);
       std::span<const WeightedEdge> part(order.data() + pos, hi - pos);
-      s.insert_batch(to_batch(part));
+      insert_batch(s, to_batch(part));
       expect_matches_reference(s);
       pos = hi;
       chunk = chunk * 2 + 1;
@@ -89,7 +97,7 @@ TEST_P(BatchCombo, StarPatternManySatellitesOneCenter) {
     vertex_id y = static_cast<vertex_id>(rng.next_bounded(center.n));
     batch.push_back({base, y, static_cast<double>(rng.next_bounded(10000))});
   }
-  s.insert_batch(batch);
+  insert_batch(s, batch);
   expect_matches_reference(s);
 }
 
@@ -112,7 +120,7 @@ TEST_P(BatchCombo, SatellitesAtTheSameCenterVertex) {
     }
     batch.push_back({base, 4, wts[k]});
   }
-  s.insert_batch(batch);
+  insert_batch(s, batch);
   expect_matches_reference(s);
 }
 
@@ -135,7 +143,7 @@ TEST_P(BatchCombo, ChainOfComponents) {
                      static_cast<vertex_id>((c + 1) * size),
                      static_cast<double>(rng.next_bounded(100000))});
   }
-  s.insert_batch(batch);
+  insert_batch(s, batch);
   expect_matches_reference(s);
 }
 
@@ -144,7 +152,7 @@ TEST_P(BatchCombo, BatchIntoEmptyForest) {
   // (the all-spines-merge-together path of Star-Merge).
   gen::Forest f = gen::random_tree(30, 8);
   DynSLD s(f.n, GetParam().index);
-  s.insert_batch(to_batch(f.edges));
+  insert_batch(s, to_batch(f.edges));
   expect_matches_reference(s);
 }
 
@@ -212,7 +220,7 @@ TEST_P(BatchCombo, MixedBatchLifecycle) {
       uf.unite(u, v);
       batch.push_back({u, v, static_cast<double>(rng.next_bounded(100000))});
     }
-    auto ids = s.insert_batch(batch);
+    auto ids = insert_batch(s, batch);
     live.insert(live.end(), ids.begin(), ids.end());
     expect_matches_reference(s);
     // Batch delete a random ~third.
@@ -233,7 +241,8 @@ TEST_P(BatchCombo, MixedBatchLifecycle) {
 
 TEST_P(BatchCombo, OneEdgeBatchesMatchReference) {
   // One-edge batches take the single-insert branch (Thm 1.2 with a
-  // spine index, Thm 1.1 without); the dendrogram must not care.
+  // spine index, Thm 1.1 without) or a one-satellite Star-Merge, and
+  // one-edge erases take Thm 1.1; the dendrogram must not care.
   const vertex_id n = 40;
   Rng rng(77);
   DynSLD s(n, GetParam().index);
@@ -245,7 +254,7 @@ TEST_P(BatchCombo, OneEdgeBatchesMatchReference) {
     if (u == v || uf.connected(u, v)) continue;
     uf.unite(u, v);
     std::vector<DynSLD::EdgeInsert> one{{u, v, static_cast<double>(rng.next_bounded(1000))}};
-    auto ids = s.insert_batch(one);
+    auto ids = insert_batch(s, one);
     ASSERT_EQ(ids.size(), 1u);
     live.push_back(ids[0]);
     expect_matches_reference(s);
@@ -257,10 +266,43 @@ TEST_P(BatchCombo, OneEdgeBatchesMatchReference) {
   }
 }
 
+TEST_P(BatchCombo, NestedCutsOnOneSpine) {
+  // Consecutive edges of one root-to-leaf path of a layered tree, whose
+  // weights ascend toward the root: the cut edges nest below one another
+  // on one spine. Cut at the leaf end, every small piece fits the
+  // labeling budget; cut at the root end, the pieces hold hundreds of
+  // vertices each and the side tests fall back to the connectivity
+  // forest.
+  gen::Forest f = test::layered_binary_tree(11, {7, 2}, 3);
+  const vertex_id leaf = (vertex_id{1} << 12) - 2;
+  for (bool labeled : {true, false}) {
+    DynSLD s(f.n, GetParam().index);
+    std::vector<edge_id> ids;
+    for (const auto& e : f.edges) ids.push_back(s.insert(e.u, e.v, e.weight));
+    // The edge above vertex v (v >= 1) has id v - 1.
+    std::vector<edge_id> cut;
+    for (vertex_id v = labeled ? leaf : 7; cut.size() < 3; v = (v - 1) / 2) {
+      cut.push_back(ids[v - 1]);
+    }
+    stats::counters().reset();
+    s.erase_batch(cut);
+    if (labeled) {
+      EXPECT_EQ(stats::counters().connectivity_queries.load(), 0u);
+      EXPECT_GT(stats::counters().side_tests_labeled.load(), 0u);
+    } else {
+      EXPECT_GT(stats::counters().connectivity_queries.load(), 0u);
+    }
+    expect_matches_reference(s);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Indices, BatchCombo,
-                         ::testing::Values(BatchParam{"ptr", SpineIndex::kPointer},
-                                           BatchParam{"lct", SpineIndex::kLct},
-                                           BatchParam{"rc", SpineIndex::kRc}),
+                         ::testing::Values(BatchParam{"ptr", SpineIndex::kPointer, false},
+                                           BatchParam{"lct", SpineIndex::kLct, false},
+                                           BatchParam{"rc", SpineIndex::kRc, false},
+                                           BatchParam{"ptr_star", SpineIndex::kPointer, true},
+                                           BatchParam{"lct_star", SpineIndex::kLct, true},
+                                           BatchParam{"rc_star", SpineIndex::kRc, true}),
                          [](const auto& info) { return info.param.name; });
 
 TEST(BatchStatic, BuildBatchParallelMatchesKruskal) {

@@ -210,6 +210,94 @@ TEST(LowerBound, StarJoinTouchesTwoHPlusOnePointers) {
   EXPECT_EQ(s.dendrogram().height(), static_cast<size_t>(h));
 }
 
+// ---- Deletion side tests: piece labels vs the connectivity fallback ----
+
+size_t num_ancestors(const DynSLD& s, edge_id e) {
+  size_t a = 0;
+  for (edge_id x = s.dendrogram().parent(e); x != kNoEdge; x = s.dendrogram().parent(x)) ++a;
+  return a;
+}
+
+edge_id edge_between(const DynSLD& s, vertex_id u, vertex_id v) {
+  for (const WeightedEdge& e : s.edges()) {
+    if ((e.u == u && e.v == v) || (e.u == v && e.v == u)) return e.id;
+  }
+  return kNoEdge;
+}
+
+class SideTests : public ::testing::TestWithParam<SpineIndex> {};
+
+// Cut the edge above vertex 3 of a depth-9 layered tree: both sides hold
+// hundreds of vertices, far past the 4·|ancestors| + 64 labeling budget,
+// so every ancestor takes exactly one connectivity test. The tails put
+// ancestors on both sides.
+TEST_P(SideTests, EraseBeyondTheBudgetFallsBackToOneTestPerAncestor) {
+  gen::Forest f = test::layered_binary_tree(9, {3, 2}, 5);
+  for (bool parallel : {false, true}) {
+    DynSLD s(f.n, GetParam());
+    for (const auto& e : f.edges) s.insert(e.u, e.v, e.weight);
+    const edge_id e = edge_between(s, 3, 1);
+    const size_t anc = num_ancestors(s, e);
+    ASSERT_GE(anc, 4u);
+    ASSERT_GT(257u, 4 * anc + 64);  // the smaller side: subtree(3) + its tail
+    stats::counters().reset();
+    parallel ? s.erase_parallel(e) : s.erase(e);
+    if (!parallel) EXPECT_EQ(stats::counters().connectivity_queries.load(), anc);
+    EXPECT_GT(stats::counters().connectivity_queries.load(), 0u);
+    EXPECT_EQ(stats::counters().side_tests_labeled.load(), 0u);
+    EXPECT_EQ(stats::counters().side_vertices_labeled.load(), 0u);
+    expect_matches_reference(s);
+  }
+}
+
+// Cut a deepest leaf's edge: the one-vertex side is labeled, and every
+// ancestor's side is a mark lookup with no connectivity test.
+TEST_P(SideTests, LabeledEraseIssuesNoConnectivityTests) {
+  gen::Forest f = test::layered_binary_tree(9, {3, 2}, 6);
+  for (bool parallel : {false, true}) {
+    DynSLD s(f.n, GetParam());
+    for (const auto& e : f.edges) s.insert(e.u, e.v, e.weight);
+    const edge_id e = edge_between(s, 1022, 510);
+    const size_t anc = num_ancestors(s, e);
+    ASSERT_GE(anc, 10u);
+    stats::counters().reset();
+    parallel ? s.erase_parallel(e) : s.erase(e);
+    EXPECT_EQ(stats::counters().connectivity_queries.load(), 0u);
+    if (!parallel) EXPECT_EQ(stats::counters().side_tests_labeled.load(), anc);
+    EXPECT_EQ(stats::counters().side_vertices_labeled.load(), 1u);
+    expect_matches_reference(s);
+  }
+}
+
+// Erase every edge of the layered tree in a random order: each cut lands
+// in whichever regime its sizes pick, and the result must not care.
+TEST_P(SideTests, EraseAllInRandomOrderMatchesReference) {
+  gen::Forest f = test::layered_binary_tree(5, {3, 2, 40}, 7);
+  DynSLD s(f.n, GetParam());
+  std::vector<edge_id> ids;
+  for (const auto& e : f.edges) ids.push_back(s.insert(e.u, e.v, e.weight));
+  Rng rng(11);
+  for (size_t i = ids.size(); i > 1; --i) std::swap(ids[i - 1], ids[rng.next_bounded(i)]);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    i % 2 == 0 ? s.erase(ids[i]) : s.erase_parallel(ids[i]);
+    expect_matches_reference(s);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Indices, SideTests,
+                         ::testing::Values(SpineIndex::kPointer, SpineIndex::kLct,
+                                           SpineIndex::kRc),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case SpineIndex::kPointer:
+                               return "ptr";
+                             case SpineIndex::kLct:
+                               return "lct";
+                             default:
+                               return "rc";
+                           }
+                         });
+
 TEST(OutputSensitive, LeafAppendIsConstantChanges) {
   // Appending a max-weight leaf to a path changes O(1) pointers even
   // when h is large (c = O(1) regime of Theorem 1.2).

@@ -332,10 +332,21 @@ TEST(MsfBatch, NoReplacementPossibleSkipsLabeling) {
 
 }  // namespace
 
-// Test hook into the private replacement-search scratch.
+// Test hook into the private piece-labeling stamp, which lives in the
+// cut step of the clustering's DynSLD.
+class DynSldTestPeer {
+ public:
+  static uint32_t stamp(const DynSLD& s) { return s.pieces_.stamp_; }
+  static void set_stamp(DynSLD& s, uint32_t v) { s.pieces_.stamp_ = v; }
+};
+
 struct DynamicClusteringTestPeer {
-  static uint32_t stamp(const DynamicClustering& dc) { return dc.stamp_; }
-  static void set_stamp(DynamicClustering& dc, uint32_t s) { dc.stamp_ = s; }
+  static uint32_t stamp(const DynamicClustering& dc) {
+    return DynSldTestPeer::stamp(dc.sld());
+  }
+  static void set_stamp(DynamicClustering& dc, uint32_t s) {
+    DynSldTestPeer::set_stamp(dc.sld(), s);
+  }
 };
 
 namespace {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <numeric>
 #include <set>
@@ -18,6 +19,7 @@
 #include "dendrogram/dendrogram.hpp"
 #include "dendrogram/static_sld.hpp"
 #include "engine/query.hpp"
+#include "graph/generators.hpp"
 #include "graph/types.hpp"
 #include "parallel/random.hpp"
 
@@ -37,6 +39,38 @@ inline par::Rng test_rng(uint64_t salt = 0) {
     }
   }
   return par::Rng(h);
+}
+
+/// A complete binary tree of the given depth (vertex i's parent is
+/// (i - 1) / 2) whose edge weights ascend toward the root: the edge above
+/// a depth-k vertex weighs depth - k plus a jitter in [0, 0.5). Its
+/// dendrogram mirrors the tree, so spines stay O(depth) long while a cut
+/// near the root leaves pieces of Θ(n) vertices. Each vertex in `tails`
+/// gets a two-edge path hung below it, heavier than every tree edge; the
+/// tails' edges interleave at the top of the dendrogram.
+inline gen::Forest layered_binary_tree(int depth, std::initializer_list<vertex_id> tails,
+                                       uint64_t seed) {
+  par::Rng rng(seed);
+  gen::Forest f;
+  const vertex_id tree = (vertex_id{1} << (depth + 1)) - 1;
+  f.n = tree + 2 * static_cast<vertex_id>(tails.size());
+  auto add = [&f](vertex_id u, vertex_id v, double w) {
+    f.edges.push_back(WeightedEdge{u, v, w, static_cast<edge_id>(f.edges.size())});
+  };
+  for (vertex_id v = 1; v < tree; ++v) {
+    int d = 0;
+    while ((vertex_id{2} << d) - 1 <= v) ++d;  // v's depth
+    add(v, (v - 1) / 2, (depth - d) + 0.5 * rng.next_double());
+  }
+  vertex_id next = tree;
+  double lift = 0;
+  for (vertex_id t : tails) {
+    add(t, next, depth + 1 + lift);
+    add(next, next + 1, depth + 2 + lift);
+    next += 2;
+    lift += 0.25;
+  }
+  return f;
 }
 
 /// Uniform pair of distinct vertices in [0, n).
