@@ -12,17 +12,14 @@
 //      and never reach the shards.
 //   4. View amortization: N mixed queries at one tau through per-call
 //      snapshot conveniences vs one ThresholdView vs one batched
-//      ClusterView::run() — one cross-shard merge resolution amortized
-//      over the whole batch.
-//   5. Subscription refresh: skewed traffic keeps hammering one shard
-//      of eight; a SubscribedView refreshing per epoch (incremental:
-//      clean shards' endpoint tops reused, blob union-find re-run) vs
-//      a fresh view()+at(tau) (full resolution) per epoch.
-//   6. Flat-label maintenance: same skewed traffic; the refreshed
-//      view's flat_clustering() patches the previous epoch's label
-//      array (dirty shard ranges + cross groups) vs the fresh view's
-//      full relabel — the labels_patched/labels_rebuilt counters prove
-//      which path ran.
+//      svc.run() (submit-and-wait through the broker) — one cross-shard
+//      merge resolution amortized over the whole batch.
+//   5. View refresh: skewed traffic keeps hammering one shard of
+//      eight; a ThresholdView::refreshed chain per epoch (the broker's
+//      standing-cache path — incremental: clean shards' endpoint tops
+//      reused, blob union-find re-run) vs a fresh ThresholdView (full
+//      resolution) per epoch.
+//   (6 retired: the flat-label patch path it measured is gone.)
 //   7. Broker cross-client batching: N concurrent clients issue single
 //      queries at a shared tau across churning epochs — per-caller
 //      fresh views (every client pays its own resolution per epoch) vs
@@ -67,7 +64,6 @@
 #include "bench_util.hpp"
 #include "engine/replay.hpp"
 #include "engine/sld_service.hpp"
-#include "engine/subscription.hpp"
 #include "net/client.hpp"
 #include "net/replication.hpp"
 #include "net/server.hpp"
@@ -282,10 +278,9 @@ static void view_amortization(bool smoke) {
   }
   double per_call_ms = now_ms() - t0;
 
-  ClusterView view = svc.view();
   auto before = svc.stats();
   t0 = now_ms();
-  auto tv = view.at(tau);
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
   for (const Query& query : queries) tv->run(query);
   double view_ms = now_ms() - t0;
   auto after = svc.stats();
@@ -314,9 +309,9 @@ static void view_amortization(bool smoke) {
   (void)results;
 }
 
-static void subscription_refresh(bool smoke) {
+static void view_refresh(bool smoke) {
   bench::header("E-ENGINE-5",
-                "subscription refresh vs fresh view (1 of 8 shards dirty)");
+                "refreshed() chain vs fresh view (1 of 8 shards dirty)");
   const int shards = 8, block = smoke ? 256 : 2048;
   const vertex_id n = static_cast<vertex_id>(shards) * block;
   const double tau = 0.6;
@@ -349,12 +344,12 @@ static void subscription_refresh(bool smoke) {
   }
   svc.flush();
 
-  SubscribedView sub(svc);
-  sub.at(tau);  // initial full resolution (not timed)
+  // Initial full resolution (not timed).
+  auto chain = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
 
   const int rounds = smoke ? 30 : 100, churn = smoke ? 64 : 256;
   std::vector<ticket_t> hot_live;
-  double fresh_ms = 0, sub_ms = 0;
+  double fresh_ms = 0, refresh_ms = 0;
   size_t sanity = 0;
   auto before = svc.stats();
   for (int r = 0; r < rounds; ++r) {
@@ -375,26 +370,27 @@ static void subscription_refresh(bool smoke) {
     }
     svc.flush();
 
+    auto snap = svc.snapshot();
     double t0 = now_ms();
-    ClusterView fresh = svc.view();
-    auto ftv = fresh.at(tau);  // full resolution every epoch (poll-and-rebuild)
+    // Full resolution every epoch (poll-and-rebuild).
+    auto ftv = std::make_shared<const ThresholdView>(snap, tau);
     fresh_ms += now_ms() - t0;
 
     t0 = now_ms();
-    sub.refresh();  // incremental: 7 of 8 shards' tops reused
-    sub_ms += now_ms() - t0;
+    chain = ThresholdView::refreshed(chain, snap);  // 7 of 8 shards reused
+    refresh_ms += now_ms() - t0;
 
-    sanity += sub.at(tau)->num_cross_groups() == ftv->num_cross_groups();
+    sanity += chain->num_cross_groups() == ftv->num_cross_groups();
   }
   auto after = svc.stats();
 
   bench::row("%-26s %d shards x %d vertices, %zu cross edges, %d epochs",
              "skewed-churn workload:", shards, block,
              (size_t)svc.snapshot()->cross().size(), rounds);
-  bench::row("%-26s %10.3f ms/epoch", "fresh view()+at(tau):",
+  bench::row("%-26s %10.3f ms/epoch", "fresh ThresholdView:",
              fresh_ms / rounds);
-  bench::row("%-26s %10.3f ms/epoch  %.1fx", "subscription refresh:",
-             sub_ms / rounds, sub_ms > 0 ? fresh_ms / sub_ms : 0.0);
+  bench::row("%-26s %10.3f ms/epoch  %.1fx", "refreshed() chain:",
+             refresh_ms / rounds, refresh_ms > 0 ? fresh_ms / refresh_ms : 0.0);
   bench::row("%-26s %.1f reused / %.1f rebuilt per refresh; %llu incremental, "
              "%llu full",
              "shards per refresh:",
@@ -411,113 +407,11 @@ static void subscription_refresh(bool smoke) {
   bench::json_log().metric("E-ENGINE-5", "fresh_ms_per_epoch",
                            fresh_ms / rounds, "ms");
   bench::json_log().metric("E-ENGINE-5", "refresh_ms_per_epoch",
-                           sub_ms / rounds, "ms");
+                           refresh_ms / rounds, "ms");
   bench::json_log().metric("E-ENGINE-5", "refresh_speedup",
-                           sub_ms > 0 ? fresh_ms / sub_ms : 0.0, "x");
+                           refresh_ms > 0 ? fresh_ms / refresh_ms : 0.0, "x");
   if (sanity != static_cast<size_t>(rounds))
     bench::row("WARNING: refresh/fresh divergence in %zu rounds",
-               rounds - sanity);
-}
-
-static void label_maintenance(bool smoke) {
-  bench::header("E-ENGINE-6",
-                "flat labels: patched on refresh vs full relabel (1 of 8 "
-                "shards dirty)");
-  const int shards = 8, block = smoke ? 256 : 8192;
-  const vertex_id n = static_cast<vertex_id>(shards) * block;
-  const double tau = 0.6;
-  ServiceConfig cfg;
-  cfg.num_vertices = n;
-  cfg.num_shards = shards;
-  SldService svc(cfg);
-  par::Rng rng(47);
-
-  // Dense intra-shard structure plus sub-tau cross edges spanning all
-  // shards: the label pass has real per-shard work to skip and real
-  // cross-group fixups to redo.
-  for (int k = 0; k < shards; ++k) {
-    vertex_id base = static_cast<vertex_id>(k) * block;
-    for (int i = 0; i < 3 * block; ++i) {
-      vertex_id u = base + rng.next_bounded(block), v;
-      do {
-        v = base + rng.next_bounded(block);
-      } while (v == u);
-      svc.insert(u, v, rng.next_double());
-    }
-  }
-  const int cross = smoke ? 800 : 6000;
-  for (int i = 0; i < cross; ++i) {
-    vertex_id u = rng.next_bounded(n), v;
-    do {
-      v = rng.next_bounded(n);
-    } while (v / block == u / block);
-    svc.insert(u, v, rng.next_double());
-  }
-  svc.flush();
-
-  SubscribedView sub(svc);
-  sub.at(tau)->flat_clustering();  // initial full materialization (not timed)
-
-  const int rounds = smoke ? 30 : 100, churn = smoke ? 64 : 256;
-  std::vector<ticket_t> hot_live;
-  double full_ms = 0, patched_ms = 0;
-  size_t sanity = 0;
-  auto before = svc.stats();
-  for (int r = 0; r < rounds; ++r) {
-    for (int i = 0; i < churn; ++i) {  // every op lands inside shard 0
-      if (!hot_live.empty() && rng.next_double() < 0.4) {
-        size_t j = rng.next_bounded(hot_live.size());
-        svc.erase(hot_live[j]);
-        hot_live[j] = hot_live.back();
-        hot_live.pop_back();
-      } else {
-        vertex_id u = rng.next_bounded(block), v;
-        do {
-          v = rng.next_bounded(block);
-        } while (v == u);
-        hot_live.push_back(svc.insert(u, v, rng.next_double()));
-      }
-    }
-    svc.flush();
-
-    // Both sides resolve their view first; only the lazy label
-    // materialization is timed (the resolution delta is E-ENGINE-5).
-    ClusterView fresh = svc.view();
-    auto ftv = fresh.at(tau);
-    double t0 = now_ms();
-    const auto& full = ftv->flat_clustering();  // global relabel
-    full_ms += now_ms() - t0;
-
-    sub.refresh();
-    auto stv = sub.at(tau);
-    t0 = now_ms();
-    const auto& patched = stv->flat_clustering();  // copy + patch
-    patched_ms += now_ms() - t0;
-
-    sanity += full == patched && ftv->size_histogram() == stv->size_histogram();
-  }
-  auto after = svc.stats();
-
-  bench::row("%-26s %d shards x %d vertices, %zu cross edges, %d epochs",
-             "skewed-churn workload:", shards, block,
-             (size_t)svc.snapshot()->cross().size(), rounds);
-  bench::row("%-26s %10.3f ms/epoch", "full relabel (fresh):",
-             full_ms / rounds);
-  bench::row("%-26s %10.3f ms/epoch  %.1fx", "patched labels (refresh):",
-             patched_ms / rounds, patched_ms > 0 ? full_ms / patched_ms : 0.0);
-  bench::row("%-26s %llu rebuilt / %llu patched / %llu reused",
-             "label materializations:",
-             (unsigned long long)(after.labels_rebuilt - before.labels_rebuilt),
-             (unsigned long long)(after.labels_patched - before.labels_patched),
-             (unsigned long long)(after.labels_reused - before.labels_reused));
-  bench::json_log().metric("E-ENGINE-6", "full_relabel_ms_per_epoch",
-                           full_ms / rounds, "ms");
-  bench::json_log().metric("E-ENGINE-6", "patched_ms_per_epoch",
-                           patched_ms / rounds, "ms");
-  bench::json_log().metric("E-ENGINE-6", "patch_speedup",
-                           patched_ms > 0 ? full_ms / patched_ms : 0.0, "x");
-  if (sanity != static_cast<size_t>(rounds))
-    bench::row("WARNING: patched/full label divergence in %zu rounds",
                rounds - sanity);
 }
 
@@ -594,10 +488,10 @@ static void broker_cross_client(bool smoke) {
           if (mode == kPerCaller) {
             // The pre-broker pattern: this client's own fresh view per
             // epoch — N clients, N resolutions, zero sharing.
-            auto tv = svc.view().at(tau);
+            ThresholdView tv(svc.snapshot(), tau);
             for (int i = 0; i < per_round; ++i) {
               double s = now_ms();
-              tv->cluster_size(qr.next_bounded(n));
+              tv.cluster_size(qr.next_bounded(n));
               local.push_back(now_ms() - s);
             }
           } else if (mode == kSyncRun) {
@@ -1182,8 +1076,7 @@ int main(int argc, char** argv) {
   shard_scaling(smoke);
   coalescing(smoke);
   view_amortization(smoke);
-  subscription_refresh(smoke);
-  label_maintenance(smoke);
+  view_refresh(smoke);
   broker_cross_client(smoke);
   durability(smoke);
   incremental_flush(smoke);

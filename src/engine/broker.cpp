@@ -10,8 +10,8 @@ namespace dynsld::engine {
 
 namespace {
 
-/// Monotone max-store (publishes can arrive out of order; see
-/// subscription.cpp for the same idiom on the subscriber side).
+/// Monotone max-store: publishes can notify out of order (flushes race
+/// to the hub after releasing the flush lock), so only raise the mark.
 void store_max(std::atomic<uint64_t>& a, uint64_t e) {
   uint64_t cur = a.load(std::memory_order_relaxed);
   while (cur < e && !a.compare_exchange_weak(cur, e,
@@ -40,10 +40,9 @@ QueryBroker::QueryBroker(const EpochManager& epochs, SubscriptionHub& hub,
       opt_(opt) {
   if (opt_.queue_depth == 0) opt_.queue_depth = 1;
   last_epoch_ = epochs_.cur_epoch();
-  // System subscription: publishes wake the dispatcher (AtLeastEpoch
-  // waiters unpark, the standing view cache refreshes) without counting
-  // as a user subscriber anywhere.
-  hub_token_ = hub_.add_system([this](const EpochManager::Snap& s) {
+  // Publishes wake the dispatcher: AtLeastEpoch waiters unpark and the
+  // standing view cache refreshes.
+  hub_token_ = hub_.add([this](const EpochManager::Snap& s) {
     store_max(published_, s->epoch());
     nudge();
   });
@@ -511,9 +510,9 @@ void QueryBroker::dispatch_cycle() {
   // Cache maintenance: absorb this cycle's current-epoch views, evict
   // entries idle past kIdleEvictCycles (bounding per-publish refresh
   // work to actively queried taus), and carry the survivors to the
-  // current epoch (the SubscribedView refresh-on-publish discipline —
-  // clean shards make this near-free, and it keeps a live entry from
-  // pinning superseded epochs).
+  // current epoch (refresh-on-publish: clean shards make this
+  // near-free, and it keeps a live entry from pinning superseded
+  // epochs).
   std::set<double> used;
   for (Group& g : groups) {
     if (!g.current) continue;

@@ -38,7 +38,9 @@
 // resolution no matter how many clients asked (the E-ENGINE-7 claim,
 // counter-verified). The view cache is carried across epochs through
 // ThresholdView::refreshed, so steady-state traffic at stable taus
-// pays the *incremental* refresh cost per epoch, like a SubscribedView.
+// pays the *incremental* refresh cost per epoch, not a full resolve.
+// Latest, Pinned{snap} and AsOf{epoch} all route through this one
+// executor; there is no second read path.
 //
 // Threading: submit()/submit_batch() are thread-safe and lock-free on
 // the intake path (one CAS per request chain plus a wakeup). The
@@ -86,12 +88,12 @@ class QueryBroker {
     std::chrono::microseconds interval{200};
   };
 
-  /// Starts the dispatcher thread and registers with `hub` as a system
-  /// subscriber (publishes wake the dispatcher; AtLeastEpoch waiters
-  /// unpark). `epochs` and `hub` must outlive the broker. `obs` (the
-  /// owning service's observability bundle, nullable in unit contexts)
-  /// receives the request-lifecycle histograms — intake wait, park
-  /// time, per-group resolve, submit-to-fulfill — and dispatch spans.
+  /// Starts the dispatcher thread and registers with `hub` (publishes
+  /// wake the dispatcher; AtLeastEpoch waiters unpark). `epochs` and
+  /// `hub` must outlive the broker. `obs` (the owning service's
+  /// observability bundle, nullable in unit contexts) receives the
+  /// request-lifecycle histograms — intake wait, park time, per-group
+  /// resolve, submit-to-fulfill — and dispatch spans.
   QueryBroker(const EpochManager& epochs, SubscriptionHub& hub,
               std::shared_ptr<EngineObs> obs, Options opt);
   /// Implies shutdown(): all in-flight futures resolve.

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <map>
 #include <numeric>
 
 #include "dendrogram/static_sld.hpp"
-#include "parallel/par.hpp"
 
 namespace dynsld::engine {
 
@@ -157,24 +157,6 @@ std::shared_ptr<const ThresholdView> ThresholdView::refreshed(
     num_dirty += !clean[k];
   }
 
-  // Flat-label patch basis: prev's materialized labels (or the seed it
-  // inherited). The single-step EpochDelta short-circuits hopeless
-  // cases — a flush that rebuilt a majority of the vertex mass forces
-  // a label rebuild no matter what came before — and the exact mass vs
-  // the seed's origin catches multi-epoch accumulation, so a doomed
-  // seed never pins a dead epoch's arrays.
-  std::shared_ptr<const LabelSeed> seed;
-  if (es.delta().base_epoch != pes.epoch() ||
-      es.delta().label_patch_viable(map.n))
-    seed = prev->label_seed();
-  if (seed) {
-    uint64_t mass = 0;
-    for (int k = 0; k < map.num_shards; ++k) {
-      if (&es.shard(k) != &seed->origin->shard(k)) mass += map.local_size(k);
-    }
-    if (2 * mass >= map.n) seed.reset();
-  }
-
   // The resolution reads only the sub-tau cross prefix: unchanged when
   // the table is pointer-identical, or when a single-step delta proves
   // every changed cross edge sits above this threshold.
@@ -189,9 +171,7 @@ std::shared_ptr<const ThresholdView> ThresholdView::refreshed(
       stats->refresh_shards_rebuilt.fetch_add(map.num_shards,
                                               std::memory_order_relaxed);
     }
-    auto view = std::make_shared<const ThresholdView>(std::move(snap), tau);
-    view->seed_ = std::move(seed);  // label patching survives a re-resolve
-    return view;
+    return std::make_shared<const ThresholdView>(std::move(snap), tau);
   }
 
   if (stats) {
@@ -216,21 +196,16 @@ std::shared_ptr<const ThresholdView> ThresholdView::refreshed(
   if (!touches_dirty) {
     if (stats)
       stats->refresh_views_reused.fetch_add(1, std::memory_order_relaxed);
-    auto view = std::shared_ptr<const ThresholdView>(
+    return std::shared_ptr<const ThresholdView>(
         new ThresholdView(std::move(snap), tau, prev->res_));
-    view->seed_ = std::move(seed);
-    return view;
   }
 
   if (stats) {
     stats->refresh_views_incremental.fetch_add(1, std::memory_order_relaxed);
     stats->cross_uf_incremental.fetch_add(1, std::memory_order_relaxed);
   }
-  auto res = resolve(es, tau, prev->res_.get(), &clean);
-  auto view = std::shared_ptr<const ThresholdView>(
-      new ThresholdView(std::move(snap), tau, std::move(res)));
-  view->seed_ = std::move(seed);
-  return view;
+  return std::shared_ptr<const ThresholdView>(new ThresholdView(
+      std::move(snap), tau, resolve(es, tau, prev->res_.get(), &clean)));
 }
 
 int32_t ThresholdView::resolve_vertex(vertex_id x, int& shard,
@@ -303,169 +278,56 @@ std::vector<vertex_id> ThresholdView::cluster_report(vertex_id u) const {
   return out;
 }
 
-std::shared_ptr<const ThresholdView::LabelSet> ThresholdView::build_labels(
-    const EngineSnapshot& es, double tau, const Resolution* res,
-    const LabelSeed* seed) {
+ThresholdView::LabelSet ThresholdView::build_labels() const {
+  const EngineSnapshot& es = *snap_;
   const ShardMap& map = es.shard_map();
-  const int K = map.num_shards;
-  const auto& stats = es.stats();
+  const Resolution* res = res_.get();
+  LabelSet ls;
 
-  // Shard cleanliness vs the seed's ORIGIN (not just the previous
-  // epoch): pointer identity holds across any number of skipped
-  // refreshes, because a rebuilt snapshot is a fresh allocation that
-  // can never equal a pointer the seed keeps alive.
-  std::vector<char> clean(K, 0);
-  uint64_t dirty_mass = 0;
-  if (seed) {
-    assert(seed->origin->shard_map().n == map.n &&
-           seed->origin->shard_map().num_shards == K);
-    for (int k = 0; k < K; ++k) {
-      clean[k] = &es.shard(k) == &seed->origin->shard(k);
-      if (!clean[k]) dirty_mass += map.local_size(k);
-    }
-    // Nothing this view reads changed since the seed's origin: adopt
-    // the whole LabelSet (flat array, shard blocks, histogram) as-is.
-    if (dirty_mass == 0 && res == seed->res.get()) {
-      if (stats) stats->labels_reused.fetch_add(1, std::memory_order_relaxed);
-      return seed->labels;
-    }
-  }
-  // Patch only while the rebuilt vertex mass is a minority of n;
-  // otherwise the O(n) copy stops paying for itself (the same bound
-  // EpochDelta::label_patch_viable applies per flush).
-  const bool patch = seed && 2 * dirty_mass < map.n;
-
-  auto ls = std::make_shared<LabelSet>();
-  ls->shard.resize(K);
-  for (int k = 0; k < K; ++k) {
-    if (seed && clean[k]) {  // identical snapshot + tau => identical block
-      ls->shard[k] = seed->labels->shard[k];
-    } else {
-      ls->shard[k] = std::make_shared<const DendrogramSnapshot::FlatLabels>(
-          es.shard(k).flat_labels(tau));
-    }
+  // Per-shard label blocks concatenate into the flat array; the
+  // per-shard histograms merge into `acc`.
+  ls.flat.resize(map.n);
+  std::map<uint64_t, int64_t> acc;
+  for (int k = 0; k < map.num_shards; ++k) {
+    DendrogramSnapshot::FlatLabels fl = es.shard(k).flat_labels(tau_);
+    std::copy(fl.label.begin(), fl.label.end(), ls.flat.begin() + map.base(k));
+    for (const auto& [size, cnt] : fl.hist)
+      acc[size] += static_cast<int64_t>(cnt);
   }
 
-  // Canonical label of a blob's cluster, O(1): the vertex itself for a
-  // singleton blob, the top node's u endpoint otherwise — the same
-  // label flat_labels() assigns, so an un-merged blob needs no write.
-  // The blob's slots index `in`'s shard snapshots, so an old blob must
-  // be read through the seed's origin (its home shard may be rebuilt).
-  auto canon = [](const EngineSnapshot& in, const Blob& b) -> vertex_id {
-    return b.top == DendrogramSnapshot::kNoSlot
-               ? b.vtx
-               : in.shard(b.shard).slot_u(b.top);
-  };
-  // A group's canonical label: min over its blobs' canons —
-  // order-independent, so an incremental and a from-scratch resolution
-  // agree on it bit-for-bit.
-  auto group_labels = [&](const EngineSnapshot& in, const Resolution* r) {
-    std::vector<vertex_id> gl;
-    if (!r) return gl;
-    gl.assign(r->group_size.size(), std::numeric_limits<vertex_id>::max());
-    for (size_t i = 0; i < r->blobs.size(); ++i) {
-      vertex_id c = canon(in, r->blobs[i]);
-      if (c < gl[r->blob_group[i]]) gl[r->blob_group[i]] = c;
-    }
-    return gl;
-  };
-  const std::vector<vertex_id> glabel = group_labels(es, res);
-
-  // Blob-granular label writes against a base the caller prepared:
-  // members of group blobs get their group label; `stable` (patch path
-  // only) marks blobs whose members provably already carry it.
-  std::vector<vertex_id> members;
-  auto apply_fixups = [&](const std::vector<char>* stable) {
-    if (!res) return;
+  if (res) {
+    // Canonical label of a blob's cluster, O(1): the vertex itself for
+    // a singleton blob, the top node's u endpoint otherwise — the same
+    // label flat_labels() assigns, so an un-merged blob needs no write.
+    auto canon = [&](const Blob& b) -> vertex_id {
+      return b.top == DendrogramSnapshot::kNoSlot
+                 ? b.vtx
+                 : es.shard(b.shard).slot_u(b.top);
+    };
+    // A group's canonical label: min over its blobs' canons —
+    // order-independent, so an incremental and a from-scratch
+    // resolution agree on it bit-for-bit.
+    std::vector<vertex_id> glabel(res->group_size.size(),
+                                  std::numeric_limits<vertex_id>::max());
+    for (size_t i = 0; i < res->blobs.size(); ++i)
+      glabel[res->blob_group[i]] =
+          std::min(glabel[res->blob_group[i]], canon(res->blobs[i]));
+    // Members of group blobs get their group label.
+    std::vector<vertex_id> members;
     for (size_t i = 0; i < res->blobs.size(); ++i) {
-      if (stable && (*stable)[i]) continue;
       const Blob& b = res->blobs[i];
       vertex_id gl = glabel[res->blob_group[i]];
       if (b.top == DendrogramSnapshot::kNoSlot) {
-        ls->flat[b.vtx] = gl;
+        ls.flat[b.vtx] = gl;
         continue;
       }
-      if (canon(es, b) == gl) continue;  // base label already correct
+      if (canon(b) == gl) continue;  // base label already correct
       members.clear();
       es.shard(b.shard).members_of(b.top, members);
-      for (vertex_id v : members) ls->flat[v] = gl;
+      for (vertex_id v : members) ls.flat[v] = gl;
     }
-  };
-
-  if (patch) {
-    // Copy-on-write patch: start from the origin's flat array, then
-    // re-label exactly what may differ — dirty shards' vertex ranges
-    // and the members of cross-merge groups whose label changed.
-    // O(n/K * dirty_shards + changed-group mass) plus the memcpy.
-    ls->flat = seed->labels->flat;
-    for (int k = 0; k < K; ++k) {
-      if (clean[k]) continue;
-      std::copy(ls->shard[k]->label.begin(), ls->shard[k]->label.end(),
-                ls->flat.begin() + map.base(k));
-    }
-    if (res != seed->res.get()) {
-      const std::vector<vertex_id> old_glabel =
-          group_labels(*seed->origin, seed->res.get());
-      // A blob is STABLE when it kept its identity across the refresh —
-      // clean home shard and the resolution sharing that shard's
-      // ShardBlobs block (so old and new local blob indices coincide) —
-      // and its group's label is unchanged. Its members already carry
-      // the right label; a giant unchanged cross group costs zero
-      // writes. Everything else: undo the old fixup (restore canonical
-      // base labels), then apply the new groups.
-      std::vector<char> stable;
-      if (res && seed->res) {
-        stable.assign(res->blobs.size(), 0);
-        for (int k = 0; k < K; ++k) {
-          if (!clean[k] || res->shard[k] != seed->res->shard[k]) continue;
-          uint32_t nb = res->blob_base[k], ob = seed->res->blob_base[k];
-          uint32_t cnt = static_cast<uint32_t>(res->shard[k]->local.size());
-          for (uint32_t i = 0; i < cnt; ++i) {
-            stable[nb + i] = glabel[res->blob_group[nb + i]] ==
-                             old_glabel[seed->res->blob_group[ob + i]];
-          }
-        }
-      }
-      if (seed->res) {
-        for (size_t i = 0; i < seed->res->blobs.size(); ++i) {
-          const Blob& b = seed->res->blobs[i];
-          if (!clean[b.shard]) continue;  // range was overwritten above
-          if (!stable.empty() && res->shard[b.shard] == seed->res->shard[b.shard] &&
-              stable[res->blob_base[b.shard] +
-                     (static_cast<uint32_t>(i) - seed->res->blob_base[b.shard])])
-            continue;
-          if (b.top == DendrogramSnapshot::kNoSlot) {
-            ls->flat[b.vtx] = b.vtx;
-            continue;
-          }
-          members.clear();
-          es.shard(b.shard).members_of(b.top, members);
-          vertex_id c = es.shard(b.shard).slot_u(b.top);
-          for (vertex_id v : members) ls->flat[v] = c;
-        }
-      }
-      apply_fixups(stable.empty() ? nullptr : &stable);
-    }
-    // else: same resolution object — every blob lives in a clean shard
-    // (wholesale reuse is gated on that), so the copied fixups stand.
-    if (stats) stats->labels_patched.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ls->flat.resize(map.n);
-    for (int k = 0; k < K; ++k)
-      std::copy(ls->shard[k]->label.begin(), ls->shard[k]->label.end(),
-                ls->flat.begin() + map.base(k));
-    apply_fixups(nullptr);
-    if (stats) stats->labels_rebuilt.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // The histogram never touches the O(n) array: merge the per-shard
-  // histograms, then move each cross group's blob clusters into one
-  // merged bin.
-  std::map<uint64_t, int64_t> acc;
-  for (int k = 0; k < K; ++k)
-    for (const auto& [size, cnt] : ls->shard[k]->hist)
-      acc[size] += static_cast<int64_t>(cnt);
-  if (res) {
+    // The histogram never touches the O(n) array: move each cross
+    // group's blob clusters into one merged bin.
     for (const Blob& b : res->blobs) {
       uint64_t bs = b.top == DendrogramSnapshot::kNoSlot
                         ? 1
@@ -476,44 +338,16 @@ std::shared_ptr<const ThresholdView::LabelSet> ThresholdView::build_labels(
   }
   for (const auto& [size, cnt] : acc) {
     assert(cnt >= 0);
-    if (cnt > 0)
-      ls->hist.bins.emplace_back(size, static_cast<uint64_t>(cnt));
+    if (cnt > 0) ls.hist.bins.emplace_back(size, static_cast<uint64_t>(cnt));
   }
+  if (const auto& stats = es.stats())
+    stats->labels_rebuilt.fetch_add(1, std::memory_order_relaxed);
   return ls;
 }
 
 const ThresholdView::LabelSet& ThresholdView::label_set() const {
-  {
-    std::lock_guard<std::mutex> lk(labels_mu_);
-    if (labels_) return *labels_;
-  }
-  // Serialize builders on their own mutex and run the O(n) build with
-  // labels_mu_ RELEASED: label_seed() — hence a concurrent refreshed(),
-  // possibly on the flushing thread — only ever waits for the pointer
-  // swap below, never for a materialization. build_labels reads only
-  // immutable view state, so this is safe; a refresh that overlaps the
-  // build simply propagates the not-yet-consumed seed (patching against
-  // an older origin is correct, just proportionally more work).
-  std::lock_guard<std::mutex> build_lk(labels_build_mu_);
-  std::shared_ptr<const LabelSeed> seed;
-  {
-    std::lock_guard<std::mutex> lk(labels_mu_);
-    if (labels_) return *labels_;  // lost the race to an earlier builder
-    seed = seed_;
-  }
-  auto built = build_labels(*snap_, tau_, res_.get(), seed.get());
-  std::lock_guard<std::mutex> lk(labels_mu_);
-  labels_ = std::move(built);
-  seed_.reset();  // consumed; release the origin epoch
-  return *labels_;
-}
-
-std::shared_ptr<const ThresholdView::LabelSeed> ThresholdView::label_seed()
-    const {
-  std::lock_guard<std::mutex> lk(labels_mu_);
-  if (labels_)
-    return std::make_shared<const LabelSeed>(LabelSeed{snap_, labels_, res_});
-  return seed_;  // propagate an unconsumed basis (possibly null)
+  std::call_once(labels_once_, [this] { labels_ = build_labels(); });
+  return labels_;
 }
 
 const std::vector<vertex_id>& ThresholdView::flat_clustering() const {
@@ -543,7 +377,7 @@ uint64_t ThresholdView::num_clusters() const {
 
 QueryResult ThresholdView::run(const Query& q) const {
   // This view's threshold is authoritative (see header); the request's
-  // tau is only the ClusterView::run routing key.
+  // tau is only the broker's routing key.
   assert(query_tau(q) == tau_);
   struct Dispatch {
     const ThresholdView& v;
@@ -567,63 +401,6 @@ QueryResult ThresholdView::run(const Query& q) const {
     }
   };
   return std::visit(Dispatch{*this}, q);
-}
-
-namespace detail {
-
-std::vector<QueryResult> run_batch(
-    std::span<const Query> queries, const std::shared_ptr<EngineStats>& stats,
-    const std::function<std::shared_ptr<const ThresholdView>(double)>&
-        view_at) {
-  std::vector<QueryResult> out(queries.size());
-  std::map<double, std::vector<uint32_t>> by_tau;
-  for (uint32_t i = 0; i < queries.size(); ++i)
-    by_tau[query_tau(queries[i])].push_back(i);
-  std::vector<const std::pair<const double, std::vector<uint32_t>>*> groups;
-  groups.reserve(by_tau.size());
-  for (const auto& g : by_tau) groups.push_back(&g);
-
-  if (stats) {
-    stats->batch_runs.fetch_add(1, std::memory_order_relaxed);
-    stats->batch_queries.fetch_add(queries.size(), std::memory_order_relaxed);
-  }
-
-  par::parallel_for(
-      0, groups.size(),
-      [&](size_t g) {
-        auto view = view_at(groups[g]->first);  // one resolution per tau
-        const std::vector<uint32_t>& idx = groups[g]->second;
-        par::parallel_for(
-            0, idx.size(),
-            [&](size_t j) { out[idx[j]] = view->run(queries[idx[j]]); },
-            /*grain=*/8);
-      },
-      /*grain=*/1);
-  return out;
-}
-
-}  // namespace detail
-
-ClusterView::ClusterView(EpochManager::Snap snap)
-    : snap_(std::move(snap)), cache_(std::make_shared<Cache>()) {}
-
-std::shared_ptr<const ThresholdView> ClusterView::at(double tau) const {
-  {
-    std::lock_guard<std::mutex> lk(cache_->mu);
-    auto it = cache_->views.find(tau);
-    if (it != cache_->views.end()) return it->second;
-  }
-  // Build outside the lock (the resolution can be expensive); a racing
-  // builder at the same tau loses to whoever inserts first.
-  auto view = std::make_shared<const ThresholdView>(snap_, tau);
-  std::lock_guard<std::mutex> lk(cache_->mu);
-  auto [it, fresh] = cache_->views.try_emplace(tau, std::move(view));
-  return it->second;
-}
-
-std::vector<QueryResult> ClusterView::run(std::span<const Query> queries) const {
-  return detail::run_batch(queries, snap_->stats(),
-                           [this](double tau) { return at(tau); });
 }
 
 }  // namespace dynsld::engine

@@ -1,12 +1,14 @@
-// First-class read views over an epoch snapshot — the query plane.
+// ThresholdView: one epoch snapshot resolved at one threshold — the
+// unit the read plane serves every query from.
 //
-//   SldService::view() ──> ClusterView (pins one epoch)
-//                             │ at(tau)            (cached per tau)
-//                             v
-//                          ThresholdView (merge resolved ONCE at tau)
-//                             │ same_cluster / cluster_size /
-//                             │ cluster_report / flat_clustering /
-//                             │ size_histogram / run(Query)
+//   submit(QueryRequest) ──> QueryBroker (groups by (epoch, tau))
+//                               │ standing per-tau cache, carried
+//                               │ across epochs by refreshed()
+//                               v
+//                            ThresholdView (merge resolved ONCE at tau)
+//                               │ same_cluster / cluster_size /
+//                               │ cluster_report / flat_clustering /
+//                               │ size_histogram / run(Query)
 //
 // A ThresholdView resolves everything tau-dependent up front, exactly
 // once: it scans the weight-ascending cross-edge prefix (w <= tau),
@@ -20,23 +22,21 @@
 //   same_cluster   O(log h)         two top_of lookups + group compare
 //   cluster_size   O(log h)         one top_of + group aggregate
 //   cluster_report O(log h + |S|)   walk the group's blob member lists
-//   flat_clustering / size_histogram  O(n) label materialization on a
-//                                     fresh view, computed lazily once;
-//                                     O(n/K * dirty + X) patched on a
-//                                     refreshed view (see below)
+//   flat_clustering / size_histogram  O(n) label materialization,
+//                                     computed lazily once per view
 //
 // The build is O(X log h + X alpha) for X sub-tau cross edges —
-// independent of n and of the query count, which is the whole point:
-// thousands of queries at one tau share a single merge resolution
-// instead of re-deriving it per call (the PR 1 behavior).
+// independent of n and of the query count: thousands of queries at one
+// tau share a single merge resolution instead of re-deriving it per
+// call.
 //
-// Incremental refresh (the subscription plane, subscription.hpp): the
-// resolution is a shareable immutable block, and ThresholdView::
-// refreshed(prev, snap) carries it across epochs proportionally to the
-// published EpochDelta. Per-shard snapshot reuse is pointer-identical,
-// so cleanliness needs no bookkeeping: a shard whose DendrogramSnapshot
-// pointer is unchanged gives identical top_of answers, and its cached
-// endpoint tops are reused verbatim. Three refresh grades:
+// Incremental refresh (the broker's standing cache): the resolution is
+// a shareable immutable block, and ThresholdView::refreshed(prev, snap)
+// carries it across epochs proportionally to the published EpochDelta.
+// Per-shard snapshot reuse is pointer-identical, so cleanliness needs
+// no bookkeeping: a shard whose DendrogramSnapshot pointer is unchanged
+// gives identical top_of answers, and its cached endpoint tops are
+// reused verbatim. Three refresh grades:
 //
 //   reused       sub-tau cross prefix unchanged, no resolved endpoint
 //                homed in a rebuilt shard -> share the resolution block
@@ -48,34 +48,16 @@
 //                below tau) -> resolve from scratch, as the paper's
 //                locality argument no longer applies.
 //
-// Flat labels carry across epochs the same way. Labels are canonical —
-// a cluster's label is a pure function of the shard snapshots and the
-// resolution (DendrogramSnapshot::FlatLabels + min-over-group fixups),
-// never of traversal order — so a patched array and a from-scratch
-// array agree bit-for-bit. refreshed() hands the new view a LabelSeed
-// (the previous epoch's materialized label blocks); the first
-// flat_clustering()/size_histogram() on the new view then copies the
-// previous flat array and re-labels only the vertex ranges of rebuilt
-// shards plus the members of cross-merge groups, instead of re-running
-// the global O(n) pass: O(n/K * dirty_shards + X) plus one memcpy.
-// Per-shard label blocks of clean shards are shared by pointer; the
-// size histogram reassembles from per-shard histograms and group sizes
-// without touching the O(n) array. EpochDelta::label_patch_viable
-// gates the seed: when the rebuilt vertex mass is a majority of n the
-// copy stops paying and the view rebuilds (labels_rebuilt vs
-// labels_patched vs labels_reused in EngineStats).
-//
-// ClusterView is a cheap value type (two shared_ptrs): it pins the
-// epoch like EngineSnapshot does and memoizes ThresholdViews by tau.
-// run() executes a typed Query batch: group by tau, resolve each
-// threshold once, fan the groups out on the fork-join scheduler.
+// Flat labels are canonical — a cluster's label is a pure function of
+// the shard snapshots and the resolution (DendrogramSnapshot::
+// FlatLabels + min-over-group fixups), never of traversal order or
+// refresh history — so a refreshed view and a fresh one materialize
+// bit-identical arrays. The size histogram assembles from per-shard
+// histograms and cross-group sizes without touching the O(n) array.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -94,20 +76,14 @@ namespace dynsld::engine {
 class ThresholdView {
  public:
   /// Resolve `snap` at threshold tau (one cross-shard union-find
-  /// build). Prefer ClusterView::at(), which memoizes, or a
-  /// SubscribedView, which refreshes incrementally across epochs.
+  /// build). The broker holds one per queried tau and carries it
+  /// across epochs with refreshed().
   ThresholdView(EpochManager::Snap snap, double tau);
 
   /// Refresh `prev` onto `snap` (same threshold, newer epoch): shares
   /// or incrementally rebuilds the merge resolution depending on what
   /// the epochs in between actually changed — see the header comment.
-  /// Also threads `prev`'s materialized flat labels through as the new
-  /// view's patch basis, so a later flat_clustering()/size_histogram()
-  /// re-labels only dirty shards and cross groups instead of running
-  /// the global pass. Returns `prev` itself when the epoch did not
-  /// advance. Thread-safe and never waits behind an in-flight label
-  /// materialization in `prev` (it propagates the unconsumed patch
-  /// basis instead).
+  /// Returns `prev` itself when the epoch did not advance. Thread-safe.
   static std::shared_ptr<const ThresholdView> refreshed(
       const std::shared_ptr<const ThresholdView>& prev,
       EpochManager::Snap snap);
@@ -125,9 +101,8 @@ class ThresholdView {
   /// All members of u's cluster at tau(). O(log h + |cluster|).
   std::vector<vertex_id> cluster_report(vertex_id u) const;
   /// Canonical label per vertex (equal within a cluster; the label is a
-  /// member vertex). Materialized lazily, once per view, and patched
-  /// from the previous epoch on refreshed views; the reference stays
-  /// valid for the view's lifetime — copy if you outlive it.
+  /// member vertex). Materialized lazily, once per view; the reference
+  /// stays valid for the view's lifetime — copy if you outlive it.
   const std::vector<vertex_id>& flat_clustering() const;
   /// Cluster-size distribution at tau(), singletons included. Shares
   /// the flat-label materialization (assembled from per-shard
@@ -143,9 +118,9 @@ class ThresholdView {
 
   /// Dispatch one typed query. The view's threshold is authoritative:
   /// the request is answered at tau() regardless of its own tau field
-  /// (which only ClusterView::run uses, to route each query to the
-  /// right view). Passing a mismatched query is a caller bug — asserted
-  /// in debug builds; route through ClusterView::run when in doubt.
+  /// (which only the broker uses, to route each query to the right
+  /// view). Passing a mismatched query is a caller bug — asserted in
+  /// debug builds; route through submit() when in doubt.
   QueryResult run(const Query& q) const;
 
   /// Number of merged cross-shard groups (introspection/tests).
@@ -205,106 +180,27 @@ class ThresholdView {
   /// it (the blob then IS the cluster). Also yields shard and top slot.
   int32_t resolve_vertex(vertex_id x, int& shard, int32_t& top) const;
 
-  /// The materialized flat-label state: per-shard label blocks (clean
-  /// shards share theirs across refreshes by pointer), the flat global
-  /// array with cross-group fixups applied, and the assembled size
-  /// histogram. Immutable once built.
+  /// The materialized flat-label state: the flat global array with
+  /// cross-group fixups applied, and the assembled size histogram.
+  /// Immutable once built.
   struct LabelSet {
-    std::vector<std::shared_ptr<const DendrogramSnapshot::FlatLabels>> shard;
     std::vector<vertex_id> flat;  // size n; canonical label per vertex
     SizeHistogram hist;
   };
 
-  /// Patch basis a refreshed view inherits: the epoch the labels were
-  /// materialized against (shard cleanliness is pointer identity vs its
-  /// shards), the label blocks themselves, and that epoch's resolution
-  /// (whose group fixups the patch must undo). Propagated unchanged
-  /// through views that never materialize labels, so a chain of
-  /// refreshes patches against the last epoch that actually did.
-  struct LabelSeed {
-    EpochManager::Snap origin;
-    std::shared_ptr<const LabelSet> labels;
-    std::shared_ptr<const Resolution> res;  // origin's (null in trivial mode)
-  };
-
-  /// Materialize the labels of `es` at tau. With a seed, clean shards'
-  /// label blocks are shared and the flat array is patched (copy, then
-  /// re-label dirty ranges, undo the seed resolution's group fixups,
-  /// apply `res`'s); without one — or when the dirty vertex mass makes
-  /// patching a loss — every shard re-labels and fixups apply to a
-  /// fresh concatenation.
-  static std::shared_ptr<const LabelSet> build_labels(const EngineSnapshot& es,
-                                                      double tau,
-                                                      const Resolution* res,
-                                                      const LabelSeed* seed);
-
-  /// This view as a patch basis: its own labels if materialized, else
-  /// the seed it inherited (possibly null). Takes only labels_mu_ (the
-  /// pointer lock), so callers — including refreshed() on the flushing
-  /// thread — never wait behind an in-flight materialization.
-  std::shared_ptr<const LabelSeed> label_seed() const;
+  /// Materialize the labels of this view: every shard re-labels at
+  /// tau, the blocks concatenate, and cross-group fixups apply.
+  LabelSet build_labels() const;
 
   /// The lazily materialized label state (flat_clustering and
-  /// size_histogram both land here). Builders serialize on
-  /// labels_build_mu_ and run with labels_mu_ released; labels_mu_
-  /// guards only the labels_/seed_ pointer swap.
+  /// size_histogram both land here), built once on first use.
   const LabelSet& label_set() const;
 
   EpochManager::Snap snap_;
   double tau_ = 0.0;
   std::shared_ptr<const Resolution> res_;  // null => trivial mode
-  mutable std::mutex labels_mu_;        // pointer lock: labels_ + seed_
-  mutable std::mutex labels_build_mu_;  // serializes materializations
-  mutable std::shared_ptr<const LabelSet> labels_;
-  mutable std::shared_ptr<const LabelSeed> seed_;  // consumed by label_set()
-};
-
-namespace detail {
-
-/// Shared batch executor: group `queries` by tau, resolve each distinct
-/// threshold once through `view_at`, fan the groups out on the
-/// fork-join scheduler. Both ClusterView::run and SubscribedView::run
-/// route through this. `view_at` must be safe to call from scheduler
-/// workers.
-std::vector<QueryResult> run_batch(
-    std::span<const Query> queries, const std::shared_ptr<EngineStats>& stats,
-    const std::function<std::shared_ptr<const ThresholdView>(double)>& view_at);
-
-}  // namespace detail
-
-/// The query plane's entry point: pins one epoch and memoizes one
-/// ThresholdView per threshold. A cheap value type (two shared_ptrs) —
-/// copy it freely; copies share the epoch pin and the view cache. All
-/// methods are thread-safe; the epoch never changes under a
-/// ClusterView (subscribe via SubscribedView to follow the stream).
-class ClusterView {
- public:
-  /// Pin `snap`'s epoch. Prefer SldService::view(), which acquires the
-  /// current epoch for you.
-  explicit ClusterView(EpochManager::Snap snap);
-
-  /// The pinned epoch / its snapshot (valid for this view's lifetime).
-  uint64_t epoch() const { return snap_->epoch(); }
-  const EngineSnapshot& snapshot() const { return *snap_; }
-  EpochManager::Snap snap() const { return snap_; }
-
-  /// The resolved view at threshold tau; memoized, so every later
-  /// at(tau) — and every run() query at tau — reuses the resolution.
-  std::shared_ptr<const ThresholdView> at(double tau) const;
-
-  /// Execute a typed query batch: group by tau, resolve each distinct
-  /// threshold once, run the groups in parallel on the fork-join
-  /// scheduler. results[i] answers queries[i].
-  std::vector<QueryResult> run(std::span<const Query> queries) const;
-
- private:
-  struct Cache {
-    std::mutex mu;
-    std::map<double, std::shared_ptr<const ThresholdView>> views;
-  };
-
-  EpochManager::Snap snap_;
-  std::shared_ptr<Cache> cache_;
+  mutable std::once_flag labels_once_;
+  mutable LabelSet labels_;  // written once, under labels_once_
 };
 
 }  // namespace dynsld::engine

@@ -91,7 +91,7 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
 
   // 2. Exact viability, re-verified at materialization (the journal cap
   //    was only a loose pre-filter): a patch touching half the shard
-  //    cannot beat the rebuild — same shape as label_patch_viable.
+  //    cannot beat the rebuild.
   const size_t changed_n =
       added.size() + removed_slots.size() + reparented.size();
   if (m_old == 0 || 2 * changed_n >= m_old) return nullptr;

@@ -15,9 +15,8 @@
 //   1. reconciles the journal against the live dendrogram into disjoint
 //      added / removed / re-parented node sets;
 //   2. re-checks patch viability exactly at materialization (the
-//      journal's cap is a loose pre-filter, like `label_patch_viable`
-//      is re-verified when labels actually materialize) — too much
-//      churn falls back to the fresh build;
+//      journal's cap is a loose pre-filter) — too much churn falls
+//      back to the fresh build;
 //   3. rank-merges the surviving slots with the added nodes (the old
 //      order is already sorted: a linear merge replaces the O(m log m)
 //      sort), remapping every slot-valued array copy-on-write;

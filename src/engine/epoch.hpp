@@ -108,8 +108,8 @@ struct EpochDelta {
   /// (clean shards keep the zero record): whether the incremental
   /// builder patched the previous arrays copy-on-write or rebuilt from
   /// scratch. The patch-vs-rebuild gate is re-verified at
-  /// materialization exactly like label_patch_viable below; `fallback`
-  /// records the re-check failing after the journal pre-filter passed.
+  /// materialization; `fallback` records the re-check failing after the
+  /// journal pre-filter passed.
   struct ShardPatch {
     uint8_t mode = 0;      // 0 = rebuilt fresh, 1 = patched COW
     uint8_t fallback = 0;  // exact viability re-check failed
@@ -123,18 +123,10 @@ struct EpochDelta {
   /// so its cross merge is untouched even though the table changed.
   double cross_min_w = std::numeric_limits<double>::infinity();
   /// Vertex mass of the rebuilt shards (sum of their local range
-  /// sizes): the group-churn bound the flat-label maintenance consumes.
-  /// Every vertex whose per-shard cluster — hence blob-UF group
-  /// membership — could have changed this flush lives in that mass, so
-  /// together with n it decides patch-vs-rebuild without a rescan.
+  /// sizes): every vertex whose per-shard cluster could have changed
+  /// this flush lives in that mass. A record of the flush's footprint
+  /// (checkpoint codec v3 carries it); no read path consumes it.
   uint64_t verts_rebuilt = 0;
-
-  /// Is patching the previous epoch's flat-label array (copy + re-label
-  /// dirty ranges + redo cross-group fixups) expected to beat a global
-  /// rebuild? Patching re-labels only the rebuilt vertex mass, so it
-  /// wins while that mass is a minority of n; at or past half, the
-  /// O(n) copy stops paying for itself.
-  bool label_patch_viable(vertex_id n) const { return 2 * verts_rebuilt < n; }
 
   bool cross_changed() const { return cross_inserted + cross_erased != 0; }
   int num_rebuilt() const {
@@ -171,8 +163,9 @@ class EngineSnapshot {
   // ---- merged §6.1 queries (exact across shards) ----
   // Single-shot convenience wrappers: each builds a transient
   // ThresholdView (cluster_view.hpp) over this snapshot and asks it.
-  // Batch traffic should hold a ClusterView / ThresholdView instead so
-  // the per-threshold merge resolution is paid once, not per call.
+  // Batch traffic should go through SldService::submit() (or hold a
+  // ThresholdView) so the per-threshold merge resolution is paid once,
+  // not per call.
   bool same_cluster(vertex_id s, vertex_id t, double tau) const;
   uint64_t cluster_size(vertex_id u, double tau) const;
   std::vector<vertex_id> cluster_report(vertex_id u, double tau) const;

@@ -2,12 +2,12 @@
 // request envelopes of the asynchronous front door.
 //
 // A Query is one request struct per §6.1 query kind, closed over its
-// threshold tau, wrapped in a std::variant. The batch executors
-// (ClusterView::run, the QueryBroker's dispatcher) group queries by
-// tau, resolve one ThresholdView per distinct threshold, and execute
-// the groups in parallel — so the per-threshold merge work (cross-shard
-// union-find + per-shard root resolution) is paid once per tau per
-// epoch, no matter how many queries — or clients — share it.
+// threshold tau, wrapped in a std::variant. The QueryBroker's
+// dispatcher groups queries by (epoch, tau), resolves one ThresholdView
+// per group, and executes the groups in parallel — so the per-threshold
+// merge work (cross-shard union-find + per-shard root resolution) is
+// paid once per tau per epoch, no matter how many queries — or clients
+// — share it.
 //
 // QueryResult mirrors the request kinds positionally: bool for
 // SameCluster, uint64_t for ClusterSize / NumClusters,
@@ -204,9 +204,8 @@ struct AtLeastEpoch {
 };
 
 /// Consistency mode: answer against this exact pinned snapshot
-/// (obtained from SldService::snapshot() or ClusterView::snap()), no
-/// matter how many epochs publish meanwhile. A null snap behaves like
-/// Latest.
+/// (obtained from SldService::snapshot()), no matter how many epochs
+/// publish meanwhile. A null snap behaves like Latest.
 struct Pinned {
   std::shared_ptr<const EngineSnapshot> snap;
 };

@@ -125,12 +125,9 @@ ReplayReport replay(const Trace& trace, SldService& svc,
       // conveniences do internally.
       std::shared_ptr<const ThresholdView> tv;
       auto target = [&]() -> std::shared_ptr<const ThresholdView> {
-        if (opt.amortize_views) {
-          if (!tv || svc.epoch() != tv->epoch())
-            tv = svc.view().at(opt.tau);
-          return tv;
-        }
-        return std::make_shared<const ThresholdView>(svc.snapshot(), opt.tau);
+        if (!opt.amortize_views || !tv || svc.epoch() != tv->epoch())
+          tv = std::make_shared<const ThresholdView>(svc.snapshot(), opt.tau);
+        return tv;
       };
       while (!done.load(std::memory_order_relaxed)) {
         auto t = target();

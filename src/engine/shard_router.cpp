@@ -136,7 +136,7 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
 
   // Record the delta before the dirty flags are consumed below. The
   // initial build (no prev) marks everything rebuilt and is its own
-  // base, so subscribers can never mistake it for an increment.
+  // base, so view refreshes can never mistake it for an increment.
   snap->delta_.base_epoch = prev ? prev->epoch() : epoch;
   snap->delta_.shard_rebuilt.assign(shards_.size(), 1);
   if (prev) {

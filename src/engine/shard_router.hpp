@@ -67,7 +67,7 @@ class ShardRouter {
   /// additionally copies the full alive edge set into the snapshot for
   /// reference verification. The snapshot carries an EpochDelta (shard
   /// rebuild flags + cross-edge churn accumulated since the previous
-  /// build) for subscription refreshes, and an EpochTrace: the caller
+  /// build) for view refreshes, and an EpochTrace: the caller
   /// seeds the pre-build stages (drain/apply) in `seed`, the router
   /// fills the shard-rebuild and cross-rebuild stages and freezes the
   /// whole record into the snapshot. Clears the dirty flags and delta
@@ -109,7 +109,7 @@ class ShardRouter {
   size_t cross_alive_ = 0;
   bool cross_dirty_ = false;
   // Delta accumulators since the last build_snapshot: cross-edge churn
-  // and its lightest weight, published with the epoch for subscribers.
+  // and its lightest weight, published with the epoch for view refreshes.
   uint32_t delta_cross_ins_ = 0;
   uint32_t delta_cross_del_ = 0;
   double delta_cross_min_w_ = std::numeric_limits<double>::infinity();

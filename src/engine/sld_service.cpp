@@ -22,9 +22,6 @@ SldService::SldService(const ServiceConfig& cfg)
   obs_->registry.add_gauge("broker.depth", [this] {
     return static_cast<uint64_t>(broker_ ? broker_->depth() : 0);
   });
-  obs_->registry.add_gauge("engine.subscribers", [this] {
-    return static_cast<uint64_t>(subs_.size());
-  });
   // AsOf retention: superseded epochs stay queryable from memory.
   epochs_.set_retention(cfg_.retain_epochs);
   // Epoch 0: the empty snapshot, so readers never see a null view.
@@ -45,7 +42,7 @@ SldService::SldService(const ServiceConfig& cfg)
 
 SldService::~SldService() {
   // Broker first: resolve in-flight futures while the epochs they may
-  // pin are still valid, and unhook its system subscription before the
+  // pin are still valid, and unhook its hub callback before the
   // shutdown flush publishes.
   broker_->shutdown();
   stop_writer();
@@ -152,16 +149,14 @@ uint64_t SldService::flush() {
         tap_.on_checkpoint(ck_after);
     }
   }
-  // Notify subscribers outside the flush lock so callbacks may read the
-  // service (snapshot(), view(), even enqueue updates — not flush()).
-  // Concurrent flushes can therefore notify out of order; subscribers
-  // track the max pending epoch.
+  // Notify outside the flush lock so callbacks may read the service
+  // (snapshot(), even enqueue updates — not flush()). Concurrent
+  // flushes can therefore notify out of order; the broker tracks the
+  // max announced epoch.
   obs::ScopedSpan notify_span(&obs_->trace, "flush.notify", e,
                               obs_->flush_notify);
-  size_t fired = subs_.notify(published);
+  subs_.notify(published);
   notify_span.stop();
-  if (fired)
-    stats_->subs_notified.fetch_add(fired, std::memory_order_relaxed);
   return e;
 }
 

@@ -11,9 +11,9 @@
 //   (per-shard batches,        |          dispatcher: group clients by
 //    Thm 1.1/1.2/1.5)          |          (epoch, tau), one view per
 //                              |          group, fulfill futures)
-//                              +--------> EpochManager / Subscription-
-//                                         Hub (pinned views: ClusterView
-//                                         / SubscribedView escape hatch)
+//                              +--------> EpochManager (snapshot()) +
+//                                         SubscriptionHub (wakes the
+//                                         broker's standing views)
 //
 // Mutations are cheap enqueues returning a ticket; a flush (caller-
 // driven via flush(), or the background writer thread) drains the
@@ -23,21 +23,17 @@
 // never block writers and vice versa: a reader holds a shared_ptr to
 // its epoch for as long as it likes.
 //
-// Queries default through the asynchronous request plane: submit() a
-// QueryRequest (deadline + consistency mode + cancellation token) and
-// get a std::future<ResultSet>; the broker batches concurrent clients'
+// There is one read path: submit() a QueryRequest (deadline +
+// consistency mode + cancellation token) and get a
+// std::future<ResultSet>; the broker batches concurrent clients'
 // requests into (epoch, tau) groups so the merge resolution is paid
-// once per group fleet-wide, not per caller (broker.hpp). The sync
-// surfaces — run() and the single-shot conveniences — are thin
-// submit-and-wait wrappers over one-element requests. Power users who
-// want explicit epoch pinning keep ClusterView / SubscribedView.
-//
-// Long-lived readers subscribe instead of polling: every publish
-// notifies the SubscriptionHub, and a SubscribedView refreshes its
-// resolved ThresholdViews incrementally against the epoch's delta
-// metadata (subscription.hpp) rather than rebuilding per epoch. The
-// broker's dispatcher rides the same publish signal as a system
-// subscriber.
+// once per group fleet-wide, not per caller (broker.hpp). Explicit
+// epoch pinning is a consistency mode — Pinned{svc.snapshot()} — not a
+// separate surface. The sync surfaces — run() and the single-shot
+// conveniences — are thin submit-and-wait wrappers over one request.
+// Every publish notifies the SubscriptionHub, which wakes the broker's
+// dispatcher so its standing per-tau ThresholdViews refresh
+// incrementally against the epoch's delta (cluster_view.hpp).
 #pragma once
 
 #include <chrono>
@@ -52,7 +48,6 @@
 #include <thread>
 
 #include "engine/broker.hpp"
-#include "engine/cluster_view.hpp"
 #include "engine/epoch.hpp"
 #include "engine/mutation_queue.hpp"
 #include "engine/query.hpp"
@@ -103,18 +98,17 @@ struct ServiceConfig {
 };
 
 /// The serving engine's facade: thread-safe update enqueue + flush on
-/// the writer side, epoch-pinned views/subscriptions on the reader
-/// side. Readers never block writers and vice versa; any state a
-/// reader obtains (snapshot(), view(), SubscribedView) stays valid and
-/// self-consistent no matter how many flushes happen meanwhile.
+/// the writer side, the broker's submit() on the reader side. Readers
+/// never block writers and vice versa; any state a reader obtains
+/// (snapshot(), a ResultSet) stays valid and self-consistent no matter
+/// how many flushes happen meanwhile.
 class SldService {
  public:
   /// Construct with epoch 0 published (the empty snapshot) and the
   /// broker dispatcher running.
   explicit SldService(const ServiceConfig& cfg);
   /// Shuts the broker down (in-flight futures resolve with
-  /// QueryError{kShutdown}) and stops the background writer. Destroy
-  /// all SubscribedViews first.
+  /// QueryError{kShutdown}) and stops the background writer.
   ~SldService();
 
   SldService(const SldService&) = delete;
@@ -146,12 +140,12 @@ class SldService {
 
   // ---- query front-end (thread-safe, wait-free vs the writer) ----
 
-  /// Submit one request to the asynchronous request plane — the
-  /// default read path. The broker groups concurrent clients' queries
-  /// by (epoch, tau), resolves one ThresholdView per group, and
-  /// fulfills the future; requests that expire, cancel, overflow the
-  /// intake, or outlive the service resolve with a typed QueryError
-  /// instead and never execute (broker.hpp).
+  /// Submit one request to the asynchronous request plane — the read
+  /// path. The broker groups concurrent clients' queries by (epoch,
+  /// tau), resolves one ThresholdView per group, and fulfills the
+  /// future; requests that expire, cancel, overflow the intake, or
+  /// outlive the service resolve with a typed QueryError instead and
+  /// never execute (broker.hpp).
   std::future<ResultSet> submit(QueryRequest req) const {
     return broker_->submit(std::move(req));
   }
@@ -169,8 +163,8 @@ class SldService {
   QueryBroker& broker() const { return *broker_; }
 
   /// The current epoch snapshot. All queries on it are mutually
-  /// consistent; hold it across several calls for a transaction-like
-  /// read view.
+  /// consistent; submit with Pinned{snapshot()} across several requests
+  /// for a transaction-like read view.
   EpochManager::Snap snapshot() const { return epochs_.acquire(); }
 
   /// The retained snapshot of exactly `epoch` — current epoch or one
@@ -181,27 +175,11 @@ class SldService {
     return epochs_.at_epoch(epoch);
   }
 
-  /// Pin the current epoch as a ClusterView: the full query surface
-  /// with per-threshold merge resolution cached across calls — the
-  /// power-user pinned-epoch escape hatch (the broker is the default
-  /// path; a pinned view never moves epochs under you).
-  ClusterView view() const { return ClusterView(epochs_.acquire()); }
-
   /// Synchronous convenience: submit-and-wait on one Latest request.
   /// results[i] answers queries[i], all at one epoch. Batch traffic
   /// that can tolerate a future should prefer submit(): same
   /// amortization, no blocking. Throws QueryError like any submit.
   std::vector<QueryResult> run(std::span<const Query> queries) const;
-
-  // ---- subscriptions (push half of the read plane) ----
-
-  /// The publish fan-out point. Long-lived readers normally register by
-  /// constructing a SubscribedView(svc) rather than calling this
-  /// directly; every flush that publishes a new epoch notifies the
-  /// registered subscribers (on the flushing thread, after the flush
-  /// lock is released — callbacks must not call flush()).
-  SubscriptionHub& subscriptions() { return subs_; }
-  const SubscriptionHub& subscriptions() const { return subs_; }
 
   /// Convenience single-shot queries — submit-and-wait wrappers over
   /// one-element requests, so even stray single calls join the
@@ -303,7 +281,7 @@ class SldService {
   MutationQueue queue_;
   ShardRouter router_;  // guarded by flush_mu_
   EpochManager epochs_;
-  SubscriptionHub subs_;
+  SubscriptionHub subs_;  // publish fan-out; the broker registers here
   std::unique_ptr<QueryBroker> broker_;  // after subs_: dies first
   // Durability plane (null when not persisting); safe to destroy
   // before broker_ — the destructor joins the dispatcher (the only

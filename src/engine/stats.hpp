@@ -63,24 +63,21 @@ namespace dynsld::engine {
   X(q_flat_clustering)                                                    \
   X(q_size_histogram)                                                     \
   X(q_num_clusters)                                                       \
-  /* -- view plane -- */                                                  \
+  /* -- view plane: fresh resolutions and refresh grades -- */            \
   X(views_built)          /* ThresholdView resolutions */                 \
   X(cross_uf_builds)      /* full cross-shard union-find builds */        \
-  X(batch_runs)           /* ClusterView::run calls */                    \
-  X(batch_queries)        /* queries executed via run() */                \
-  /* -- subscription plane -- */                                          \
-  X(subs_notified)        /* publish callbacks fired */                   \
-  X(sub_refreshes)        /* refresh() calls that advanced */             \
   X(refresh_views_reused) /* resolution shared wholesale */               \
   X(refresh_views_incremental) /* dirty shards re-topped */               \
   X(refresh_views_full)   /* cross prefix changed: rebuilt */             \
   X(refresh_shards_reused)   /* clean shards per refresh */               \
   X(refresh_shards_rebuilt)  /* dirty shards per refresh */               \
   X(cross_uf_incremental) /* incremental blob-UF re-resolves */           \
-  /* -- flat-label maintenance -- */                                      \
+  /* -- flat labels -- */                                                 \
   X(labels_rebuilt)       /* global label materializations */             \
-  X(labels_patched)       /* prev labels copied + patched */              \
-  X(labels_reused)        /* prev LabelSet adopted wholesale */           \
+  /* Retired with the flat-label patch path: never incremented, */        \
+  /* kept only for readers that still name them. */                       \
+  X(labels_patched)                                                       \
+  X(labels_reused)                                                        \
   /* -- broker (async request plane) -- */                                \
   X(broker_submits)       /* requests accepted at intake */               \
   X(broker_batches)       /* dispatch cycles with groups */               \
@@ -316,8 +313,6 @@ struct EngineObs {
   obs::LatencyHistogram* broker_resolve;      // per-group view resolution
   obs::LatencyHistogram* broker_fulfill;      // submit -> future fulfilled
   obs::LatencyHistogram* broker_cycle;        // whole dispatch cycle
-  // -- subscription plane --
-  obs::LatencyHistogram* sub_refresh;         // SubscribedView::refresh()
   // -- persistence (WAL append/fsync, checkpoint write, AsOf
   //    rehydration, whole-directory recovery) --
   obs::LatencyHistogram* persist_append;
@@ -348,7 +343,6 @@ struct EngineObs {
     broker_resolve = registry.add_histogram("broker.resolve");
     broker_fulfill = registry.add_histogram("broker.fulfill");
     broker_cycle = registry.add_histogram("broker.cycle");
-    sub_refresh = registry.add_histogram("sub.refresh");
     persist_append = registry.add_histogram("persist.append");
     persist_fsync = registry.add_histogram("persist.fsync");
     persist_checkpoint = registry.add_histogram("persist.checkpoint");
@@ -369,7 +363,7 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
                "engine stats: enq %llu+/%llu-  coalesced %llu  flushes %llu "
                "(avg batch %.1f, max %llu)  epochs %llu  snapshots %llu built "
                "/ %llu reused (%.2f ms total)  queries %llu  cross ops %llu  "
-               "views %llu (%llu cross-uf)  batches %llu (%llu queries)\n",
+               "views %llu (%llu cross-uf)\n",
                (unsigned long long)r.inserts_enqueued,
                (unsigned long long)r.erases_enqueued,
                (unsigned long long)r.coalesced_pairs,
@@ -381,16 +375,13 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
                r.snapshot_build_ns / 1e6, (unsigned long long)r.queries(),
                (unsigned long long)r.cross_ops,
                (unsigned long long)r.views_built,
-               (unsigned long long)r.cross_uf_builds,
-               (unsigned long long)r.batch_runs,
-               (unsigned long long)r.batch_queries);
-  if (r.subs_notified || r.sub_refreshes)
+               (unsigned long long)r.cross_uf_builds);
+  if (r.refresh_views_reused || r.refresh_views_incremental ||
+      r.refresh_views_full)
     std::fprintf(out,
-                 "subscriptions: %llu notifies  %llu refreshes  views %llu "
-                 "reused / %llu incremental / %llu full  shards %llu reused / "
-                 "%llu rebuilt  cross-uf %llu incremental\n",
-                 (unsigned long long)r.subs_notified,
-                 (unsigned long long)r.sub_refreshes,
+                 "view refreshes: %llu reused / %llu incremental / %llu full  "
+                 "shards %llu reused / %llu rebuilt  cross-uf %llu "
+                 "incremental\n",
                  (unsigned long long)r.refresh_views_reused,
                  (unsigned long long)r.refresh_views_incremental,
                  (unsigned long long)r.refresh_views_full,
@@ -402,12 +393,9 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
                  "shard patching: %llu patched (%llu fallbacks)\n",
                  (unsigned long long)r.shard_snapshots_patched,
                  (unsigned long long)r.shard_patch_fallbacks);
-  if (r.labels_rebuilt || r.labels_patched || r.labels_reused)
-    std::fprintf(out,
-                 "flat labels: %llu rebuilt / %llu patched / %llu reused\n",
-                 (unsigned long long)r.labels_rebuilt,
-                 (unsigned long long)r.labels_patched,
-                 (unsigned long long)r.labels_reused);
+  if (r.labels_rebuilt)
+    std::fprintf(out, "flat labels: %llu materialized\n",
+                 (unsigned long long)r.labels_rebuilt);
   if (r.broker_submits || r.broker_admission_rejects ||
       r.broker_deadline_expired)
     std::fprintf(out,

@@ -1,60 +1,29 @@
-// Epoch subscriptions: the push half of the read plane.
+// Epoch publication fan-out: the signal the read plane rides.
 //
-// PR 2 left long-lived readers polling svc.epoch() and rebuilding their
-// ThresholdViews from scratch on every publish — even when a flush
-// touched one shard out of K. The paper's point is that updates are
-// localized, so views should refresh proportionally to what changed:
-//
-//   SldService::flush() ── publish ──> SubscriptionHub::notify
-//                                           │ (per subscriber)
+//   SldService::flush() ── publish ──> SubscriptionHub::notify(snap)
+//                                           │ (per registered callback)
 //                                           v
-//   SubscribedView      pending epoch bumped (+ optional user hook)
-//        │ refresh()  ── re-pins the epoch, then per cached tau:
-//        v               ThresholdView::refreshed — swap only rebuilt
-//   ThresholdViews       shards' blob structures, incremental blob-UF,
-//                        full re-resolve only when the sub-tau cross
-//                        prefix changed; flat labels thread through as
-//                        a patch basis, so bulk queries on the
-//                        refreshed view re-label only what changed
-//                        (cluster_view.hpp)
-//
-// Lifecycle: constructing a SubscribedView registers it with the
-// service's hub; destroying it unregisters. "Dirty shard" means the
-// shard's DendrogramSnapshot was rebuilt this epoch (its pointer
-// changed); everything else is reused pointer-identically, which is
-// exactly what the refresh reuses.
+//   QueryBroker dispatcher   wakes: AtLeastEpoch waiters unpark, the
+//                            standing per-tau ThresholdViews refresh
+//                            incrementally (cluster_view.hpp)
 //
 // Threading: notify() runs on whichever thread published the flush
 // (the background writer or a caller of flush()), with the hub lock
 // held — callbacks must not re-enter add/remove/notify, and remove()
 // returning guarantees no further invocation (safe destruction).
-// SubscribedView's own methods are thread-safe; refresh() may be
-// called from the publish hook or from any reader. Refresh work and
-// reader batches may both fan out on the fork-join pool: the
-// scheduler's external-entry claim gate serializes foreign threads, so
-// a notification-driven refresh composes with concurrent
-// ClusterView/SubscribedView::run batches (the loser simply runs its
-// computation sequentially).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
-#include "engine/cluster_view.hpp"
 #include "engine/epoch.hpp"
 
 namespace dynsld::engine {
 
-class SldService;
-
 /// Publication fan-out point between the service's flush path and
-/// registered subscribers.
+/// registered callbacks (the service's QueryBroker is one).
 class SubscriptionHub {
  public:
   /// Handle identifying one registration (the remove() key).
@@ -63,15 +32,11 @@ class SubscriptionHub {
   using Callback = std::function<void(const EpochManager::Snap&)>;
 
   /// Register; the callback fires on every subsequent publish.
-  Token add(Callback cb) { return add_entry(std::move(cb), /*system=*/false); }
-
-  /// Register an infrastructure subscriber (the service's QueryBroker
-  /// dispatcher wake-up rides this). Fires exactly like a user
-  /// subscription but is excluded from size() and from notify()'s fired
-  /// count, so user-facing accounting — including the subs_notified
-  /// counter — keeps meaning "user subscribers".
-  Token add_system(Callback cb) {
-    return add_entry(std::move(cb), /*system=*/true);
+  Token add(Callback cb) {
+    std::lock_guard<std::mutex> lk(mu_);
+    Token t = next_++;
+    subs_.push_back(Entry{t, std::move(cb)});
+    return t;
   }
 
   /// Unregister. Serialized with notify(): once remove() returns the
@@ -87,117 +52,26 @@ class SubscriptionHub {
     }
   }
 
-  /// Deliver `snap` to every subscriber (on the calling thread, under
-  /// the hub lock — see the header's threading contract). Returns how
-  /// many *user* callbacks fired (system subscribers run but are not
-  /// counted). Deliberate tradeoff: holding the lock makes remove() a
-  /// hard barrier (safe teardown), at the cost that a slow callback
-  /// delays other subscribers, concurrent flushes' notifies, and
-  /// removals — keep hooks cheap.
-  size_t notify(const EpochManager::Snap& snap) const {
+  /// Deliver `snap` to every registered callback (on the calling
+  /// thread, under the hub lock — see the header's threading contract).
+  /// Deliberate tradeoff: holding the lock makes remove() a hard
+  /// barrier (safe teardown), at the cost that a slow callback delays
+  /// the others, concurrent flushes' notifies, and removals — keep
+  /// callbacks cheap.
+  void notify(const EpochManager::Snap& snap) const {
     std::lock_guard<std::mutex> lk(mu_);
-    size_t fired = 0;
-    for (const auto& e : subs_) {
-      e.cb(snap);
-      fired += !e.system;
-    }
-    return fired;
-  }
-
-  /// Registered *user* subscribers (system registrations excluded).
-  size_t size() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    size_t n = 0;
-    for (const auto& e : subs_) n += !e.system;
-    return n;
+    for (const auto& e : subs_) e.cb(snap);
   }
 
  private:
   struct Entry {
     Token token;
     Callback cb;
-    bool system;
   };
-
-  Token add_entry(Callback cb, bool system) {
-    std::lock_guard<std::mutex> lk(mu_);
-    Token t = next_++;
-    subs_.push_back(Entry{t, std::move(cb), system});
-    return t;
-  }
 
   mutable std::mutex mu_;
   Token next_ = 1;
   std::vector<Entry> subs_;
-};
-
-/// A long-lived reader registered with the service: it keeps its
-/// resolved ThresholdViews alive across epochs and refreshes them
-/// incrementally instead of rebuilding per publish.
-///
-///   SubscribedView sub(svc);          // register
-///   auto tv = sub.at(0.35);           // resolve once (full build)
-///   ... svc churns, epochs publish, sub.stale() turns true ...
-///   sub.refresh();                    // swap only dirty shards' blobs
-///   tv = sub.at(0.35);                // refreshed, mostly reused
-///   ...                               // ~SubscribedView unregisters
-///
-/// Must not outlive the service. The optional on_publish hook runs on
-/// the publishing thread (hub lock held): keep it cheap — bumping a
-/// condition variable or even calling refresh() is fine, blocking on a
-/// reader is not.
-class SubscribedView {
- public:
-  /// Register with `svc`'s hub, pinned to its current epoch. The
-  /// optional hook fires on every publish (on the flushing thread).
-  explicit SubscribedView(SldService& svc,
-                          std::function<void(uint64_t)> on_publish = {});
-  /// Unregisters; serialized with notification, so destruction is
-  /// race-free once no other thread still calls methods on *this.
-  ~SubscribedView();
-
-  SubscribedView(const SubscribedView&) = delete;
-  SubscribedView& operator=(const SubscribedView&) = delete;
-
-  /// The epoch this subscription currently serves.
-  uint64_t epoch() const;
-  /// Latest epoch a publish notification announced.
-  uint64_t pending_epoch() const {
-    return pending_.load(std::memory_order_acquire);
-  }
-  /// Has a newer epoch been published since the last refresh()?
-  bool stale() const { return pending_epoch() > epoch(); }
-
-  /// Re-pin the service's current epoch and refresh every resolved
-  /// ThresholdView through ThresholdView::refreshed (reuse clean
-  /// shards, incremental blob union-find, full rebuild only on sub-tau
-  /// cross churn). Each refreshed view also inherits the previous
-  /// epoch's materialized flat labels as its patch basis, so the O(n)
-  /// queries (flat_clustering / size_histogram) re-label only dirty
-  /// shards and changed cross groups instead of rebuilding — the
-  /// refresh is cheap even when every epoch is followed by a bulk
-  /// query. Returns false when the epoch had not advanced.
-  bool refresh();
-
-  /// The resolved view at tau against the subscription's current
-  /// epoch; resolved once, then maintained by refresh().
-  std::shared_ptr<const ThresholdView> at(double tau);
-
-  /// Typed batch against the subscription's current epoch. All
-  /// thresholds are pinned up front, so a concurrent refresh() cannot
-  /// split the batch across epochs.
-  std::vector<QueryResult> run(std::span<const Query> queries);
-
- private:
-  std::shared_ptr<const ThresholdView> at_locked(double tau);
-
-  SldService* svc_;
-  SubscriptionHub::Token token_ = 0;
-  std::function<void(uint64_t)> hook_;
-  std::atomic<uint64_t> pending_{0};
-  mutable std::mutex mu_;  // guards snap_ + views_
-  EpochManager::Snap snap_;
-  std::map<double, std::shared_ptr<const ThresholdView>> views_;
 };
 
 }  // namespace dynsld::engine

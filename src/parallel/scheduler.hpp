@@ -42,10 +42,10 @@ struct Job {
 /// callers — e.g. the engine's query plane fanning out a batch while the
 /// writer flushes — never need to coordinate). This is what lets the
 /// engine's publish notifications compose with concurrent reader
-/// batches: a subscription refresh triggered on the flushing thread and
-/// a ClusterView::run fan-out on a reader thread can both call par_do
-/// at once; whichever loses the gate degrades to sequential execution
-/// of the same computation, never to blocking or deadlock.
+/// batches: a flush's fork-join work on the writer thread and the
+/// broker dispatcher's group fan-out can both call par_do at once;
+/// whichever loses the gate degrades to sequential execution of the
+/// same computation, never to blocking or deadlock.
 class Scheduler {
  public:
   /// Global instance; created on first use with num_workers() threads

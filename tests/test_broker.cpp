@@ -70,7 +70,6 @@ TEST(QueryBroker, SubmitMatchesPinnedViewAnswers) {
   seed_two_shards(svc, rng);
 
   auto snap = svc.snapshot();
-  ClusterView view(snap);
   for (double tau : {0.2, 0.6}) {
     QueryRequest req;
     auto [s, t] = test::random_distinct_pair(rng, 40);
@@ -79,7 +78,7 @@ TEST(QueryBroker, SubmitMatchesPinnedViewAnswers) {
                    NumClustersQuery{tau},       ClusterReportQuery{t, tau}};
     ResultSet rs = svc.submit(std::move(req)).get();
     ASSERT_EQ(rs.epoch, snap->epoch());
-    auto tv = view.at(tau);
+    auto tv = std::make_shared<const ThresholdView>(snap, tau);
     EXPECT_EQ(std::get<bool>(rs.results[0]), tv->same_cluster(s, t));
     EXPECT_EQ(std::get<uint64_t>(rs.results[1]), tv->cluster_size(s));
     EXPECT_EQ(std::get<std::vector<vertex_id>>(rs.results[2]),
@@ -270,22 +269,22 @@ TEST(QueryBroker, CrossClientGroupingSharesOneResolution) {
   for (int i = 0; i < 8; ++i)
     reqs[i].queries = {ClusterSizeQuery{static_cast<vertex_id>(i), tau}};
   auto futs = svc.submit_batch(std::move(reqs));
-  ClusterView view = svc.view();  // same epoch: no flush in between
-  auto tv = view.at(tau);
+  // Same epoch: no flush in between.
+  ThresholdView tv(svc.snapshot(), tau);
   for (int i = 0; i < 8; ++i) {
     ResultSet rs = futs[i].get();
     ASSERT_EQ(rs.results.size(), 1u);
     EXPECT_EQ(std::get<uint64_t>(rs.results[0]),
-              tv->cluster_size(static_cast<vertex_id>(i)));
+              tv.cluster_size(static_cast<vertex_id>(i)));
   }
   auto after = svc.stats();
   EXPECT_EQ(after.broker_batches - before.broker_batches, 1u);
   EXPECT_EQ(after.broker_groups - before.broker_groups, 1u);
   EXPECT_EQ(after.broker_group_requests - before.broker_group_requests, 8u);
-  // One resolution for the whole fleet (the view.at above may add one
-  // more, built after the counters were re-read — exclude it by order).
+  // One resolution for the whole fleet, plus our explicit reference
+  // view above.
   EXPECT_EQ(after.views_built - before.views_built -
-                /*our explicit view.at*/ 1u,
+                /*our explicit ThresholdView*/ 1u,
             1u);
 }
 
@@ -377,8 +376,8 @@ TEST(QueryBroker, NumClustersMatchesHistogramReassembly) {
   par::Rng rng = test::test_rng();
 
   {  // epoch 0: every vertex a singleton
-    auto tv = svc.view().at(0.5);
-    EXPECT_EQ(tv->num_clusters(), 50u);
+    ThresholdView tv(svc.snapshot(), 0.5);
+    EXPECT_EQ(tv.num_clusters(), 50u);
   }
 
   std::vector<ticket_t> live;
@@ -395,9 +394,8 @@ TEST(QueryBroker, NumClustersMatchesHistogramReassembly) {
     if (step % 75 != 74) continue;
     svc.flush();
     auto snap = svc.snapshot();
-    ClusterView view(snap);
     for (double tau : {0.0, 0.15, 0.4, 0.7, 1.0}) {
-      auto tv = view.at(tau);
+      auto tv = std::make_shared<const ThresholdView>(snap, tau);
       auto ref = test::reference_labels(50, snap->captured_edges(), tau);
       uint64_t expected = test::ref_histogram(ref).num_clusters();
       EXPECT_EQ(tv->num_clusters(), expected) << "tau=" << tau;

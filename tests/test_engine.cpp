@@ -282,20 +282,19 @@ TEST(MutationQueue, ReinsertAfterEraseInOneBatch) {
 }
 
 /// Service-level annihilation: a churn-only batch publishes no epoch,
-/// so subscribers are not notified and nothing refreshes.
+/// so the publish hub is not notified and nothing refreshes.
 TEST(SldService, AnnihilatedBatchPublishesNoEpoch) {
   ServiceConfig cfg;
   cfg.num_vertices = 16;
   SldService svc(cfg);
-  int notified = 0;
-  SubscribedView sub(svc, [&](uint64_t) { ++notified; });
   uint64_t before = svc.epoch();
+  uint64_t published = svc.stats().epochs_published;
+  uint64_t notifies = svc.obs().flush_notify->snapshot().count;
   ticket_t t = svc.insert(2, 3, 0.5);
   svc.erase(t);
   EXPECT_EQ(svc.flush(), before);  // empty batch: same epoch
-  EXPECT_EQ(notified, 0);
-  EXPECT_FALSE(sub.stale());
-  EXPECT_EQ(svc.stats().subs_notified, 0u);
+  EXPECT_EQ(svc.stats().epochs_published, published);
+  EXPECT_EQ(svc.obs().flush_notify->snapshot().count, notifies);
 }
 
 TEST(MutationQueue, PreservesInsertOrder) {
@@ -515,7 +514,7 @@ TEST(SldService, StressReadersVsWriterMatchKruskalReference) {
 /// duplicate-tau grouping, cross-checked against the per-epoch Kruskal
 /// reference. Vertex n-1 stays edge-free so singleton clusters are
 /// always part of the mix.
-TEST(ClusterView, BatchMatchesReferenceOnShardedService) {
+TEST(SldService, PinnedBatchMatchesReferenceOnShardedService) {
   const vertex_id n = 61;  // vertex 60 never touched: permanent singleton
   ServiceConfig cfg;
   cfg.num_vertices = n;
@@ -539,8 +538,8 @@ TEST(ClusterView, BatchMatchesReferenceOnShardedService) {
     }
     if (step % 60 != 59) continue;
     svc.flush();
-    ClusterView view = svc.view();
-    const auto& captured = view.snapshot().captured_edges();
+    auto snap = svc.snapshot();
+    const auto& captured = snap->captured_edges();
 
     // Mixed batch over duplicate taus (three distinct thresholds).
     const std::vector<double> taus = {0.25, 0.6, 0.6, 0.9, 0.25, 0.6};
@@ -556,11 +555,16 @@ TEST(ClusterView, BatchMatchesReferenceOnShardedService) {
       batch.push_back(FlatClusteringQuery{tau});
       batch.push_back(SizeHistogramQuery{tau});
     }
-    uint64_t views_before = svc.stats().views_built;
-    std::vector<QueryResult> results = view.run(batch);
+    uint64_t groups_before = svc.stats().broker_groups;
+    QueryRequest req;
+    req.queries = batch;
+    req.consistency = Pinned{snap};
+    ResultSet rs = svc.submit(std::move(req)).get();
+    ASSERT_EQ(rs.epoch, snap->epoch());
+    const std::vector<QueryResult>& results = rs.results;
     // Duplicate taus share one resolution: three distinct thresholds,
-    // three ThresholdView builds.
-    EXPECT_EQ(svc.stats().views_built - views_before, 3u);
+    // three (epoch, tau) groups.
+    EXPECT_EQ(svc.stats().broker_groups - groups_before, 3u);
 
     ASSERT_EQ(results.size(), batch.size());
     size_t i = 0;
@@ -595,12 +599,12 @@ TEST(ClusterView, BatchMatchesReferenceOnShardedService) {
     }
   }
   EXPECT_GT(svc.stats().cross_ops, 0u);
-  EXPECT_GT(svc.stats().batch_runs, 0u);
 }
 
 /// Acceptance: N mixed queries at one tau through a ThresholdView cost
-/// exactly one cross-shard union-find build, and at() memoizes.
-TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
+/// exactly one cross-shard union-find build, and refreshing it onto the
+/// same epoch hands back the same view.
+TEST(ThresholdView, ResolvesCrossMergeOnce) {
   const vertex_id n = 40;  // 2 shards, stride 20
   ServiceConfig cfg;
   cfg.num_vertices = n;
@@ -620,9 +624,8 @@ TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
                0.1 + 0.4 * rng.next_double());
   svc.flush();
 
-  ClusterView view = svc.view();
   uint64_t uf_before = svc.stats().cross_uf_builds;
-  auto tv = view.at(0.6);
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), 0.6);
   for (int q = 0; q < 200; ++q) {
     vertex_id u = rng.next_bounded(n), v = rng.next_bounded(n);
     tv->same_cluster(u, v);
@@ -634,7 +637,8 @@ TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
   }
   EXPECT_EQ(svc.stats().cross_uf_builds - uf_before, 1u);
   EXPECT_GT(tv->num_cross_groups(), 0u);
-  EXPECT_EQ(view.at(0.6).get(), tv.get());  // memoized, same resolution
+  // Same epoch: the refresh is the identity, same resolution.
+  EXPECT_EQ(ThresholdView::refreshed(tv, svc.snapshot()).get(), tv.get());
 
   // The per-call conveniences pay one resolution per call — the view
   // plane's amortization is real, not bookkeeping.
@@ -647,15 +651,14 @@ TEST(ClusterView, ThresholdViewResolvesCrossMergeOnce) {
 
 /// Epoch-0 views: everything is a singleton; the batch API still
 /// answers coherently (empty service, no cross edges, no tree edges).
-TEST(ClusterView, EpochZeroAllSingletons) {
+TEST(ThresholdView, EpochZeroAllSingletons) {
   const vertex_id n = 12;
   ServiceConfig cfg;
   cfg.num_vertices = n;
   cfg.num_shards = 4;
   SldService svc(cfg);
-  ClusterView view = svc.view();
-  EXPECT_EQ(view.epoch(), 0u);
-  auto tv = view.at(0.5);
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), 0.5);
+  EXPECT_EQ(tv->epoch(), 0u);
   EXPECT_TRUE(tv->same_cluster(3, 3));
   EXPECT_FALSE(tv->same_cluster(3, 4));
   EXPECT_EQ(tv->cluster_size(7), 1u);
@@ -802,9 +805,10 @@ void seed_eight_shards(SldService& svc, par::Rng& rng) {
 }  // namespace
 
 /// The acceptance scenario: with 1 of 8 shards dirty per flush, a
-/// subscription refresh reuses the 7 clean shards (counter-verified)
-/// and answers bit-for-bit like a freshly built view.
-TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
+/// ThresholdView::refreshed chain (the broker's standing-cache path)
+/// reuses the 7 clean shards (counter-verified) and answers bit-for-bit
+/// like a freshly built view.
+TEST(ThresholdView, HotShardRefreshReusesCleanShards) {
   const vertex_id n = 64;
   ServiceConfig cfg;
   cfg.num_vertices = n;
@@ -815,8 +819,8 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
   seed_eight_shards(svc, rng);
 
   const double tau = 0.6;
-  SubscribedView sub(svc);
-  sub.at(tau);  // initial full resolution
+  // Initial full resolution.
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
 
   for (int round = 0; round < 6; ++round) {
     // Churn confined to shard 0: intra edges over vertices [0, 8).
@@ -825,7 +829,7 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
       svc.insert(u, v, rng.next_double());
     }
     svc.flush();
-    EXPECT_TRUE(sub.stale());
+    EXPECT_GT(svc.epoch(), tv->epoch());
     // The published delta records the flush's footprint: shard 0
     // rebuilt, the rest untouched, no cross churn.
     {
@@ -835,8 +839,9 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
       EXPECT_FALSE(d.cross_changed());
       EXPECT_EQ(d.cross_inserted + d.cross_erased, 0u);
     }
+    auto snap = svc.snapshot();
     auto before = svc.stats();
-    ASSERT_TRUE(sub.refresh());
+    tv = ThresholdView::refreshed(tv, snap);
     auto after = svc.stats();
     EXPECT_EQ(after.refresh_shards_reused - before.refresh_shards_reused, 7u);
     EXPECT_EQ(after.refresh_shards_rebuilt - before.refresh_shards_rebuilt, 1u);
@@ -847,12 +852,10 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
 
     // Bit-for-bit against a freshly resolved view, and against the
     // Kruskal oracle.
-    auto snap = svc.snapshot();
-    ASSERT_EQ(sub.epoch(), snap->epoch());
-    auto tv = sub.at(tau);
-    auto fresh = ClusterView(snap).at(tau);
-    EXPECT_EQ(tv->flat_clustering(), fresh->flat_clustering());
-    EXPECT_EQ(tv->size_histogram(), fresh->size_histogram());
+    ASSERT_EQ(tv->epoch(), snap->epoch());
+    ThresholdView fresh(snap, tau);
+    EXPECT_EQ(tv->flat_clustering(), fresh.flat_clustering());
+    EXPECT_EQ(tv->size_histogram(), fresh.size_histogram());
     auto ref = reference_labels(n, snap->captured_edges(), tau);
     expect_same_partition(ref, tv->flat_clustering());
     for (int q = 0; q < 40; ++q) {
@@ -866,7 +869,7 @@ TEST(SubscribedView, HotShardRefreshReusesCleanShards) {
 /// Cross-edge churn strictly above the threshold keeps the sub-tau
 /// prefix intact: the single-step delta proves it and the refresh stays
 /// incremental; churn at or below tau forces the full re-resolve.
-TEST(SubscribedView, CrossDeltaGatesFullResolve) {
+TEST(ThresholdView, CrossDeltaGatesFullResolve) {
   const vertex_id n = 64;
   ServiceConfig cfg;
   cfg.num_vertices = n;
@@ -877,8 +880,7 @@ TEST(SubscribedView, CrossDeltaGatesFullResolve) {
   seed_eight_shards(svc, rng);
 
   const double tau = 0.6;
-  SubscribedView sub(svc);
-  sub.at(tau);
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
 
   // A cross edge above tau: the delta's cross_min_w exceeds tau, so the
   // resolution survives (no full rebuild).
@@ -886,7 +888,7 @@ TEST(SubscribedView, CrossDeltaGatesFullResolve) {
   svc.flush();
   EXPECT_GT(svc.snapshot()->delta().cross_min_w, tau);
   auto before = svc.stats();
-  ASSERT_TRUE(sub.refresh());
+  tv = ThresholdView::refreshed(tv, svc.snapshot());
   auto after = svc.stats();
   EXPECT_EQ(after.refresh_views_full, before.refresh_views_full);
   EXPECT_EQ(after.refresh_views_reused +
@@ -898,58 +900,58 @@ TEST(SubscribedView, CrossDeltaGatesFullResolve) {
   svc.insert(3, 40, 0.2);
   svc.flush();
   before = svc.stats();
-  ASSERT_TRUE(sub.refresh());
+  tv = ThresholdView::refreshed(tv, svc.snapshot());
   after = svc.stats();
   EXPECT_EQ(after.refresh_views_full - before.refresh_views_full, 1u);
 
   // Either way the refreshed view matches a fresh one exactly.
   auto snap = svc.snapshot();
-  auto fresh = ClusterView(snap).at(tau);
-  EXPECT_EQ(sub.at(tau)->flat_clustering(), fresh->flat_clustering());
+  ASSERT_EQ(tv->epoch(), snap->epoch());
+  ThresholdView fresh(snap, tau);
+  EXPECT_EQ(tv->flat_clustering(), fresh.flat_clustering());
   auto ref = reference_labels(n, snap->captured_edges(), tau);
-  expect_same_partition(ref, sub.at(tau)->flat_clustering());
+  expect_same_partition(ref, tv->flat_clustering());
 }
 
-/// Register/refresh/unregister lifecycle: publishes bump the pending
-/// epoch and fire the hook; refresh catches up (also across several
-/// skipped epochs); destruction unregisters.
-TEST(SubscribedView, LifecycleAndNotifications) {
-  ServiceConfig cfg;
-  cfg.num_vertices = 40;
-  cfg.num_shards = 2;
-  SldService svc(cfg);
-  EXPECT_EQ(svc.subscriptions().size(), 0u);
-  {
-    std::vector<uint64_t> hook_epochs;
-    SubscribedView sub(svc, [&](uint64_t e) { hook_epochs.push_back(e); });
-    EXPECT_EQ(svc.subscriptions().size(), 1u);
-    EXPECT_EQ(sub.epoch(), 0u);
-    EXPECT_FALSE(sub.stale());
-    EXPECT_FALSE(sub.refresh());  // nothing published yet
+/// The hub contract the broker relies on: a registered callback fires
+/// on every notify, and once remove() returns it never fires again —
+/// even while another thread keeps notifying — while the remaining
+/// registrations keep firing.
+TEST(SubscriptionHub, CallbackFiresOnNotifyAndNeverAfterRemove) {
+  SubscriptionHub hub;
+  EpochManager::Snap snap;  // callbacks here only count
+  std::atomic<uint64_t> fired{0}, other{0}, after_remove{0};
+  std::atomic<bool> removed{false};
+  auto token = hub.add([&](const EpochManager::Snap&) {
+    fired.fetch_add(1, std::memory_order_relaxed);
+    if (removed.load(std::memory_order_acquire))
+      after_remove.fetch_add(1, std::memory_order_relaxed);
+  });
+  hub.add([&](const EpochManager::Snap&) {
+    other.fetch_add(1, std::memory_order_relaxed);
+  });
+  hub.notify(snap);
+  EXPECT_EQ(fired.load(), 1u);
+  EXPECT_EQ(other.load(), 1u);
 
-    svc.insert(1, 2, 0.3);
-    svc.flush();
-    svc.insert(21, 22, 0.4);
-    svc.flush();  // two epochs behind now
-    EXPECT_TRUE(sub.stale());
-    EXPECT_EQ(sub.pending_epoch(), 2u);
-    ASSERT_EQ(hook_epochs.size(), 2u);
-    EXPECT_TRUE(sub.refresh());
-    EXPECT_EQ(sub.epoch(), 2u);
-    EXPECT_FALSE(sub.stale());
-    EXPECT_FALSE(sub.refresh());  // idempotent
+  std::atomic<bool> stop{false};
+  std::thread notifier([&] {
+    while (!stop.load(std::memory_order_relaxed)) hub.notify(snap);
+  });
+  while (fired.load(std::memory_order_relaxed) < 50) std::this_thread::yield();
+  hub.remove(token);  // barrier: serialized with in-flight notifies
+  removed.store(true, std::memory_order_release);
+  const uint64_t other_at_remove = other.load();
+  while (other.load(std::memory_order_relaxed) < other_at_remove + 50)
+    std::this_thread::yield();
+  stop.store(true, std::memory_order_relaxed);
+  notifier.join();
 
-    // Batch API serves the subscription's pinned epoch.
-    std::vector<Query> batch = {SameClusterQuery{1, 2, 0.5},
-                                ClusterSizeQuery{21, 0.5}};
-    auto results = sub.run(batch);
-    EXPECT_TRUE(std::get<bool>(results[0]));
-    EXPECT_EQ(std::get<uint64_t>(results[1]), 2u);
-  }
-  EXPECT_EQ(svc.subscriptions().size(), 0u);  // unregistered
-  svc.insert(5, 6, 0.1);
-  svc.flush();  // notifies nobody, crashes nothing
-  EXPECT_EQ(svc.stats().subs_notified, 2u);
+  EXPECT_EQ(after_remove.load(), 0u);
+  const uint64_t final_fired = fired.load();
+  hub.notify(snap);
+  EXPECT_EQ(fired.load(), final_fired);
+  hub.remove(token);  // removing twice is a no-op
 }
 
 /// Replay driver smoke test: the sliding-window trace ends with the

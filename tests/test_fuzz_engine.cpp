@@ -9,20 +9,19 @@
 // After every published epoch the harness checks three ways at several
 // thresholds:
 //
-//   1. the subscription-refreshed ThresholdView answers bit-for-bit
-//      like a freshly resolved view of the same snapshot (labels and
-//      histograms as exact vector equality — labels are canonical,
-//      i.e. a pure function of the snapshot and the resolution, so a
-//      patched array and a from-scratch array must agree exactly and
-//      any divergence is a refresh/patch bug, not an ordering
-//      artifact); the label queries also run through the typed batch
-//      API, so the patched path behind run() is covered on every
-//      schedule;
+//   1. a ThresholdView::refreshed chain — the broker's standing-cache
+//      path — answers bit-for-bit like a freshly resolved view of the
+//      same snapshot (labels and histograms as exact vector equality —
+//      labels are canonical, i.e. a pure function of the snapshot and
+//      the resolution, so any divergence is a refresh bug, not an
+//      ordering artifact); the same label queries also run as one
+//      Latest submit(), so the broker's own cached views are covered on
+//      every schedule;
 //   2. both match the Kruskal reference partition of the epoch's
 //      captured edge set (partition equality, sampled pair/size/report
 //      queries);
-//   3. refresh bookkeeping: the subscription serves exactly the
-//      published epoch.
+//   3. refresh bookkeeping: the chain serves exactly the published
+//      epoch.
 //
 // Seeds are printed on failure (SCOPED_TRACE) for replay; set
 // DYNSLD_FUZZ_SEEDS to scale the run (default 1250 schedules across
@@ -37,7 +36,6 @@
 #include <filesystem>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -46,7 +44,6 @@
 #include "engine/cluster_view.hpp"
 #include "engine/query.hpp"
 #include "engine/sld_service.hpp"
-#include "engine/subscription.hpp"
 #include "parallel/random.hpp"
 #include "persist/persist.hpp"
 #include "test_util.hpp"
@@ -132,8 +129,11 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
   // Three thresholds: two fixed in the interesting band, one seeded.
   const double taus[3] = {0.25, 0.7, 0.05 + 0.9 * rng.next_double()};
 
-  SubscribedView sub(svc);
-  for (double tau : taus) sub.at(tau);  // initial full resolutions
+  // Standing views at the three taus, carried across epochs by
+  // ThresholdView::refreshed exactly like the broker's cache.
+  std::shared_ptr<const ThresholdView> chain[3];
+  for (int i = 0; i < 3; ++i)
+    chain[i] = std::make_shared<const ThresholdView>(svc.snapshot(), taus[i]);
 
   auto pick_insert = [&]() -> std::pair<vertex_id, vertex_id> {
     if (rng.next_double() < sc.cross_frac && sc.shards > 1) {
@@ -177,10 +177,12 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
 
     uint64_t epoch = svc.flush();
     ASSERT_EQ(baseline.flush(), epoch);
-    sub.refresh();
     auto snap = svc.snapshot();
     ASSERT_EQ(snap->epoch(), epoch);
-    ASSERT_EQ(sub.epoch(), epoch);
+    for (auto& view : chain) {
+      view = ThresholdView::refreshed(view, snap);
+      ASSERT_EQ(view->epoch(), epoch);
+    }
 
     // (0) Patched per-shard snapshots are byte-identical to the twin's
     // from-scratch builds.
@@ -196,27 +198,25 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
       }
     }
 
-    ClusterView fresh_view(snap);
-    for (double tau : taus) {
+    std::map<double, std::shared_ptr<const ThresholdView>> fresh_at;
+    for (double tau : taus)
+      fresh_at.emplace(tau, std::make_shared<const ThresholdView>(snap, tau));
+    std::vector<Query> label_queries;
+    for (int i = 0; i < 3; ++i) {
+      const double tau = taus[i];
       SCOPED_TRACE("epoch=" + std::to_string(epoch) +
                    " tau=" + std::to_string(tau));
-      auto subv = sub.at(tau);
-      auto fresh = fresh_view.at(tau);
-      ASSERT_EQ(subv->epoch(), epoch);
+      const auto& subv = chain[i];
+      const auto& fresh = fresh_at.at(tau);
 
-      // (1) Refreshed view == fresh view, bit for bit — including the
-      // patched flat labels and the reassembled histogram, also via
-      // the typed batch API.
+      // (1) Refreshed view == fresh view, bit for bit: flat labels,
+      // the reassembled histogram and the cluster count.
       ASSERT_EQ(subv->flat_clustering(), fresh->flat_clustering());
       ASSERT_EQ(subv->size_histogram(), fresh->size_histogram());
-      {
-        std::vector<Query> lq{FlatClusteringQuery{tau},
-                              SizeHistogramQuery{tau}};
-        auto lres = sub.run(lq);
-        ASSERT_EQ(std::get<std::vector<vertex_id>>(lres[0]),
-                  fresh->flat_clustering());
-        ASSERT_EQ(std::get<SizeHistogram>(lres[1]), fresh->size_histogram());
-      }
+      ASSERT_EQ(subv->num_clusters(), fresh->num_clusters());
+      label_queries.push_back(FlatClusteringQuery{tau});
+      label_queries.push_back(SizeHistogramQuery{tau});
+      label_queries.push_back(NumClustersQuery{tau});
       // (2) Both == the Kruskal oracle.
       auto ref = reference_labels(sc.n, snap->captured_edges(), tau);
       expect_same_partition(ref, subv->flat_clustering());
@@ -231,7 +231,6 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
       // NumClusters reassembles from per-shard prefix counts + the
       // cross merge; it must agree with the histogram and the oracle.
       ASSERT_EQ(subv->num_clusters(), ref_histogram(ref).num_clusters());
-      ASSERT_EQ(fresh->num_clusters(), subv->num_clusters());
       for (int q = 0; q < 12; ++q) {
         auto [s, t] = test::random_distinct_pair(rng, sc.n);
         ASSERT_EQ(subv->same_cluster(s, t), ref[s] == ref[t])
@@ -248,6 +247,24 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
       std::sort(rep_fresh.begin(), rep_fresh.end());
       ASSERT_EQ(rep_sub, rep_fresh);
       ASSERT_EQ(rep_sub.size(), ref_cluster_size(ref, u));
+    }
+
+    // (3) The same label queries as one Latest submit(): nothing
+    // publishes meanwhile, so the broker answers at this epoch from its
+    // standing views — refreshed across the schedule's epochs — and
+    // must agree with the fresh views bit for bit.
+    {
+      QueryRequest req;
+      req.queries = label_queries;
+      ResultSet rs = svc.submit(std::move(req)).get();
+      ASSERT_EQ(rs.epoch, epoch);
+      ASSERT_EQ(rs.results.size(), label_queries.size());
+      for (size_t i = 0; i < label_queries.size(); ++i) {
+        SCOPED_TRACE("latest label query i=" + std::to_string(i));
+        ASSERT_TRUE(rs.results[i] ==
+                    fresh_at.at(query_tau(label_queries[i]))
+                        ->run(label_queries[i]));
+      }
     }
 
     // (4) Async plane: a random slice of the same query mix routed
@@ -276,7 +293,7 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
       ASSERT_EQ(rs.results.size(), slice.size());
       for (size_t i = 0; i < slice.size(); ++i) {
         SCOPED_TRACE("submit slice i=" + std::to_string(i));
-        QueryResult direct = fresh_view.at(query_tau(slice[i]))->run(slice[i]);
+        QueryResult direct = fresh_at.at(query_tau(slice[i]))->run(slice[i]);
         if (std::holds_alternative<ClusterReportQuery>(slice[i])) {
           auto got = std::get<std::vector<vertex_id>>(rs.results[i]);
           auto want = std::get<std::vector<vertex_id>>(direct);
@@ -332,9 +349,8 @@ TEST(FuzzEngine, HotspotSchedulesReuseShards) {
   cfg.num_vertices = sc.n;
   cfg.num_shards = sc.shards;
   SldService svc(cfg);
-  SubscribedView sub(svc);
   const double tau = 0.5;
-  sub.at(tau);
+  auto view = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
   par::Rng rng(99);
   for (int round = 0; round < 8; ++round) {
     for (int i = 0; i < 10; ++i) {
@@ -342,35 +358,35 @@ TEST(FuzzEngine, HotspotSchedulesReuseShards) {
       svc.insert(u, v, rng.next_double());
     }
     svc.flush();
-    sub.refresh();
+    view = ThresholdView::refreshed(view, svc.snapshot());
   }
   auto r = svc.stats();
-  EXPECT_EQ(r.sub_refreshes, 8u);
+  EXPECT_EQ(view->epoch(), 8u);
   EXPECT_EQ(r.refresh_shards_reused, 8u * 7u);
   EXPECT_EQ(r.refresh_shards_rebuilt, 8u * 1u);
   EXPECT_EQ(r.refresh_views_full, 0u);
 }
 
-/// Skewed churn with flat labels queried every epoch: the label
-/// maintenance must take the patch path (not silently rebuild), stay
-/// bit-for-bit with fresh materializations, and account itself in the
-/// labels_patched/labels_rebuilt counters.
-TEST(FuzzEngine, FlatLabelPatchCountersUnderSkewedChurn) {
+/// Skewed churn with flat labels queried every epoch: a refreshed view
+/// (7 of 8 shards clean, a cross merge at every shard boundary) must
+/// materialize labels bit-for-bit like a fresh view. Every
+/// materialization is a full one — the retired patch counters stay 0.
+TEST(FuzzEngine, RefreshedLabelsMatchFreshUnderSkewedChurn) {
   ServiceConfig cfg;
   cfg.num_vertices = 64;
   cfg.num_shards = 8;
   SldService svc(cfg);
   par::Rng rng = test::test_rng();
   // A weighted path across the whole range: intra-shard structure in
-  // every shard plus sub-tau cross edges at each shard boundary, so the
-  // patch has both dirty ranges and group fixups to handle.
+  // every shard plus sub-tau cross edges at each shard boundary, so
+  // the labels carry both per-shard blocks and cross-group fixups.
   for (vertex_id v = 0; v + 1 < 64; ++v)
     svc.insert(v, v + 1, 0.2 + 0.5 * rng.next_double());
   svc.flush();
 
-  SubscribedView sub(svc);
   const double tau = 0.5;
-  sub.at(tau)->flat_clustering();  // initial materialization
+  auto view = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
+  view->flat_clustering();  // initial materialization
   EXPECT_EQ(svc.stats().labels_rebuilt, 1u);
 
   const int rounds = 6;
@@ -380,24 +396,29 @@ TEST(FuzzEngine, FlatLabelPatchCountersUnderSkewedChurn) {
       svc.insert(u, v, rng.next_double());
     }
     svc.flush();
-    sub.refresh();
-    ClusterView fresh(svc.snapshot());
-    ASSERT_EQ(sub.at(tau)->flat_clustering(), fresh.at(tau)->flat_clustering());
-    ASSERT_EQ(sub.at(tau)->size_histogram(), fresh.at(tau)->size_histogram());
+    auto snap = svc.snapshot();
+    for (int k = 1; k < 8; ++k) EXPECT_EQ(snap->delta().shard_rebuilt[k], 0);
+    view = ThresholdView::refreshed(view, snap);
+    ThresholdView fresh(snap, tau);
+    ASSERT_EQ(view->flat_clustering(), fresh.flat_clustering());
+    ASSERT_EQ(view->size_histogram(), fresh.size_histogram());
+    ASSERT_EQ(view->num_clusters(), fresh.num_clusters());
   }
   auto r = svc.stats();
-  EXPECT_EQ(r.labels_patched, static_cast<uint64_t>(rounds));
-  EXPECT_EQ(r.labels_rebuilt, 1u + rounds);  // initial + the fresh oracles
+  EXPECT_EQ(r.labels_rebuilt, 1u + 2u * rounds);  // initial + both sides
+  EXPECT_EQ(r.labels_patched, 0u);
   EXPECT_EQ(r.labels_reused, 0u);
 }
 
-/// Concurrent epoch turnover: the background writer publishes epochs
-/// whose notifications refresh a subscription *on the writer thread*
-/// (via the publish hook) while the main thread runs typed batches
-/// against the same subscription — the writer->reader notification
-/// edge the TSan CI job watches, and the scheduler-claim-gate
-/// composition (both sides may fan out on the fork-join pool).
-TEST(FuzzEngine, ConcurrentNotifyRefreshVsReaderBatches) {
+/// Concurrent epoch turnover through the one read path: the background
+/// writer publishes epochs whose hub notifications wake the broker —
+/// the publish callback runs on the writer thread while the dispatcher
+/// refreshes its standing per-tau views — and the main thread keeps
+/// submitting batches at two taus. This is the writer->reader
+/// notification edge the TSan CI job watches, plus the scheduler
+/// claim-gate composition (flush and dispatcher both fan out on the
+/// fork-join pool).
+TEST(FuzzEngine, ConcurrentPublishVsBrokerSubmits) {
   const vertex_id n = 96;
   ServiceConfig cfg;
   cfg.num_vertices = n;
@@ -405,15 +426,6 @@ TEST(FuzzEngine, ConcurrentNotifyRefreshVsReaderBatches) {
   cfg.flush_threshold = 24;
   cfg.flush_interval = std::chrono::microseconds(100);
   SldService svc(cfg);
-
-  std::atomic<uint64_t> notifies{0};
-  std::optional<SubscribedView> sub;
-  sub.emplace(svc, [&](uint64_t) {
-    notifies.fetch_add(1, std::memory_order_relaxed);
-    sub->refresh();  // on the publishing (writer) thread
-  });
-  sub->at(0.3);
-  sub->at(0.7);
   svc.start_writer();
 
   std::thread producer([&] {
@@ -434,36 +446,46 @@ TEST(FuzzEngine, ConcurrentNotifyRefreshVsReaderBatches) {
   });
 
   par::Rng qrng(7);
-  uint64_t batches = 0;
-  while (notifies.load(std::memory_order_relaxed) < 4 || batches < 50) {
-    std::vector<Query> batch;
+  uint64_t batches = 0, epochs_seen = 0, last_epoch = 0;
+  while (epochs_seen < 4 || batches < 50) {
+    QueryRequest req;
     for (double tau : {0.3, 0.7}) {
       auto [u, v] = test::random_distinct_pair(qrng, n);
-      batch.push_back(SameClusterQuery{u, u, tau});  // reflexive: always true
-      batch.push_back(SameClusterQuery{u, v, tau});
-      batch.push_back(ClusterSizeQuery{u, tau});
+      req.queries.push_back(SameClusterQuery{u, u, tau});  // reflexive: true
+      req.queries.push_back(SameClusterQuery{u, v, tau});
+      req.queries.push_back(ClusterSizeQuery{u, tau});
     }
-    auto results = sub->run(batch);
-    for (size_t i = 0; i < results.size(); i += 3) {
-      ASSERT_TRUE(std::get<bool>(results[i]));
-      ASSERT_GE(std::get<uint64_t>(results[i + 2]), 1u);
+    ResultSet rs = svc.submit(std::move(req)).get();
+    for (size_t i = 0; i < rs.results.size(); i += 3) {
+      ASSERT_TRUE(std::get<bool>(rs.results[i]));
+      ASSERT_GE(std::get<uint64_t>(rs.results[i + 2]), 1u);
     }
+    ASSERT_GE(rs.epoch, last_epoch);  // Latest never moves backwards
+    epochs_seen += rs.epoch > last_epoch;
+    last_epoch = rs.epoch;
     ++batches;
     if (batches > 5000) break;  // liveness guard
   }
 
   producer.join();
   svc.stop_writer();
-  // Catch up and verify the final epoch exactly.
-  sub->refresh();
+  // Catch up and verify the final epoch exactly: the broker's standing
+  // views (refreshed on every publish) against fresh resolutions.
+  svc.flush();
   auto snap = svc.snapshot();
-  ClusterView fresh(snap);
-  for (double tau : {0.3, 0.7})
-    ASSERT_EQ(sub->at(tau)->flat_clustering(),
-              fresh.at(tau)->flat_clustering());
-  EXPECT_GT(notifies.load(), 0u);
-  EXPECT_GT(svc.stats().sub_refreshes, 0u);
-  sub.reset();  // unregister before the service dies
+  QueryRequest req;
+  req.queries = {FlatClusteringQuery{0.3}, FlatClusteringQuery{0.7}};
+  ResultSet rs = svc.submit(std::move(req)).get();
+  ASSERT_EQ(rs.epoch, snap->epoch());
+  EXPECT_EQ(std::get<std::vector<vertex_id>>(rs.results[0]),
+            ThresholdView(snap, 0.3).flat_clustering());
+  EXPECT_EQ(std::get<std::vector<vertex_id>>(rs.results[1]),
+            ThresholdView(snap, 0.7).flat_clustering());
+  EXPECT_GT(epochs_seen, 0u);
+  auto r = svc.stats();
+  EXPECT_GT(r.refresh_views_reused + r.refresh_views_incremental +
+                r.refresh_views_full,
+            0u);
 }
 
 // The durability cross-check: run scenario schedules against a

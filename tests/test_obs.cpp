@@ -16,7 +16,6 @@
 
 #include "engine/sld_service.hpp"
 #include "engine/stats.hpp"
-#include "engine/subscription.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -353,7 +352,7 @@ TEST(EngineObs, RegistersEveryCounterAndTheHistogramCatalog) {
        {"flush.drain", "flush.apply", "flush.shard_build", "flush.shards",
         "flush.cross", "flush.publish", "flush.notify", "flush.total",
         "broker.intake_wait", "broker.park", "broker.resolve",
-        "broker.fulfill", "broker.cycle", "sub.refresh"}) {
+        "broker.fulfill", "broker.cycle"}) {
     EXPECT_NE(o.registry.find_histogram(h), nullptr) << h;
   }
   // Counter bumps are visible through the registry: same atomics.
@@ -416,26 +415,6 @@ TEST(EngineTrace, FlushFreezesEpochTraceAndRecordsStageSpans) {
     }
   }
   EXPECT_TRUE(saw_epoch);
-}
-
-TEST(EngineTrace, SubscribedViewRefreshRecordsHistogram) {
-  engine::ServiceConfig cfg;
-  cfg.num_vertices = 48;
-  cfg.num_shards = 2;
-  engine::SldService svc(cfg);
-  auto rng = test::test_rng();
-  {
-    engine::SubscribedView sub(svc);
-    for (int i = 0; i < 60; ++i) {
-      auto [u, v] = test::random_distinct_pair(rng, 48);
-      svc.insert(u, v, rng.next_double());
-    }
-    svc.flush();
-    (void)sub.at(0.5);  // resolve a view so refresh() has work
-    EXPECT_TRUE(sub.stale());
-    EXPECT_TRUE(sub.refresh());
-    EXPECT_GE(svc.obs().sub_refresh->snapshot().count, 1u);
-  }
 }
 
 TEST(EngineTrace, ObsBundleOutlivesService) {

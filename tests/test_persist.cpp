@@ -149,9 +149,9 @@ struct EpochFingerprint {
 EpochFingerprint fingerprint(const EpochManager::Snap& snap, double tau) {
   EpochFingerprint fp;
   fp.labels = snap->flat_clustering(tau);
-  ClusterView view(snap);
-  fp.hist = view.at(tau)->size_histogram();
-  fp.num_clusters = view.at(tau)->num_clusters();
+  ThresholdView view(snap, tau);
+  fp.hist = view.size_histogram();
+  fp.num_clusters = view.num_clusters();
   return fp;
 }
 
