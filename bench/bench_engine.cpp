@@ -1,34 +1,13 @@
-// E-ENGINE: the concurrent SLD serving engine.
+// E-ENGINE: the engine costs the end-to-end benchmark (perfbench/)
+// does not measure. perfbench is the gated benchmark; the sections
+// here answer what its fixed shape cannot:
 //
-//   1. Concurrent serving: a writer streams sliding-window batches
-//      through the service while R reader threads query epoch
-//      snapshots. Readers hold a ThresholdView per epoch (amortized
-//      read path) vs re-resolving per call; the ratio column is the
-//      amortization win.
 //   2. Shard scaling: block-local churn with a small cross-shard
 //      fraction, S = 1..8 shards; per-shard sub-batches apply in
-//      parallel on the fork-join pool.
-//   3. Coalescing: short-lived edges annihilate in the mutation queue
-//      and never reach the shards.
-//   4. View amortization: N mixed queries at one tau through per-call
-//      snapshot conveniences vs one ThresholdView vs one batched
-//      svc.run() (submit-and-wait through the broker) — one cross-shard
-//      merge resolution amortized over the whole batch.
-//   5. View refresh: skewed traffic keeps hammering one shard of
-//      eight; a ThresholdView::refreshed chain per epoch (the broker's
-//      standing-cache path — incremental: clean shards' endpoint tops
-//      reused, blob union-find re-run) vs a fresh ThresholdView (full
-//      resolution) per epoch.
-//   (6 retired: the flat-label patch path it measured is gone.)
-//   7. Broker cross-client batching: N concurrent clients issue single
-//      queries at a shared tau across churning epochs — per-caller
-//      fresh views (every client pays its own resolution per epoch) vs
-//      the sync run() wrapper vs pipelined submit() futures. The
-//      resolution counters prove one cross-UF per (epoch, tau) group
-//      fleet-wide on the broker paths; p50/p99 fulfillment latency is
-//      reported for both broker modes.
-//   8. Durability: one churny schedule replayed under no persistence /
-//      WAL with fsync off / every-8 / every-1 (the flush-path tax per
+//      parallel on the fork-join pool (perfbench runs 4 shards on one
+//      pool thread).
+//   8. Durability: one churny schedule under no persistence / WAL
+//      with fsync off / every-8 / every-1 (the flush-path tax per
 //      policy), recovery wall time for WAL-only replay vs checkpoint +
 //      tail over the same history, and AsOf{epoch} query latency per
 //      serving tier (retention ring, cold checkpoint rehydration,
@@ -44,6 +23,9 @@
 //      pipe), then read throughput against the writer alone vs fanned
 //      out across the writer plus two wire-bootstrapped read replicas.
 //
+//   (1, 3-7 retired: perfbench's end-to-end and per-layer metrics
+//   answer them; see docs/BENCHMARKS.md.)
+//
 //   $ ./bench_engine [--smoke]     (--smoke: tiny sizes, CI rot check)
 #include <unistd.h>
 #if defined(__GLIBC__)
@@ -51,18 +33,13 @@
 #endif
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
-#include <future>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "engine/replay.hpp"
 #include "engine/sld_service.hpp"
 #include "net/client.hpp"
 #include "net/replication.hpp"
@@ -74,93 +51,102 @@
 using namespace dynsld;
 using namespace dynsld::engine;
 
-static double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+static double pct(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[std::min(v.size() - 1,
+                    static_cast<size_t>(q * static_cast<double>(v.size())))];
 }
 
-static void concurrent_serving(bool smoke) {
-  bench::header("E-ENGINE-1", "readers sustain queries during batch flushes");
-  Trace tr = Trace::sliding_window(/*window=*/smoke ? 120 : 600,
-                                   /*steps=*/smoke ? 6 : 30,
-                                   /*per_step=*/smoke ? 30 : 120,
-                                   /*connect_radius=*/0.45,
-                                   /*seed=*/42);
-  bench::row("%-28s %8zu vertices, %zu ops (%zu inserts)", "sliding-window trace:",
-             (size_t)tr.num_vertices, tr.ops.size(), tr.num_inserts());
-  bench::row("%8s %12s %14s %14s %8s %10s", "readers", "updates/s",
-             "q/s percall", "q/s amortized", "ratio", "epochs");
-  for (int readers : smoke ? std::vector<int>{0, 2} : std::vector<int>{0, 1, 2, 4, 8}) {
-    ReplayReport per_call, amortized;
-    // With no readers the two modes are identical writer-only runs, so
-    // a single replay covers the row.
-    for (bool amortize : readers == 0 ? std::vector<bool>{true}
-                                      : std::vector<bool>{false, true}) {
-      ServiceConfig cfg;
-      cfg.num_vertices = tr.num_vertices;
-      SldService svc(cfg);
-      ReplayOptions opt;
-      opt.reader_threads = readers;
-      opt.tau = 0.3;
-      opt.ops_per_flush = 128;
-      opt.amortize_views = amortize;
-      (amortize ? amortized : per_call) = replay(tr, svc, opt);
+// One deterministic churny schedule: `epochs` flushes of `batch` ops,
+// 30% of them erasing a random live edge. Distinct weights keep WAL
+// replay exact.
+static void churn(SldService& svc, vertex_id n, int epochs, int batch,
+                  uint64_t seed) {
+  par::Rng rng(seed);
+  uint64_t widx = 0;
+  std::vector<ticket_t> live;
+  for (int e = 0; e < epochs; ++e) {
+    for (int i = 0; i < batch; ++i) {
+      if (!live.empty() && rng.next_double() < 0.3) {
+        size_t j = rng.next_bounded(live.size());
+        svc.erase(live[j]);
+        live[j] = live.back();
+        live.pop_back();
+      } else {
+        vertex_id u = static_cast<vertex_id>(rng.next_bounded(n));
+        vertex_id v = static_cast<vertex_id>(rng.next_bounded(n - 1));
+        if (v >= u) ++v;
+        live.push_back(svc.insert(
+            u, v,
+            static_cast<double>(widx * 2654435761ull % 999983ull) /
+                999983.0));
+        ++widx;
+      }
     }
-    if (readers == 0) {
-      bench::row("%8d %12.0f %14s %14s %8s %10llu", readers,
-                 amortized.updates_per_s, "-", "-", "-",
-                 (unsigned long long)amortized.epochs_published);
-      bench::json_log().metric("E-ENGINE-1", "updates_per_s_r0",
-                               amortized.updates_per_s, "updates/s");
-    } else {
-      bench::row("%8d %12.0f %14.0f %14.0f %7.1fx %10llu", readers,
-                 amortized.updates_per_s, per_call.queries_per_s,
-                 amortized.queries_per_s,
-                 per_call.queries_per_s > 0
-                     ? amortized.queries_per_s / per_call.queries_per_s
-                     : 0.0,
-                 (unsigned long long)amortized.epochs_published);
-      std::string rs = std::to_string(readers);
-      bench::json_log().metric("E-ENGINE-1", "updates_per_s_r" + rs,
-                               amortized.updates_per_s, "updates/s");
-      bench::json_log().metric("E-ENGINE-1", "qps_amortized_r" + rs,
-                               amortized.queries_per_s, "q/s");
-    }
+    svc.flush();
   }
 }
 
 static void shard_scaling(bool smoke) {
   bench::header("E-ENGINE-2", "sharded flushes: independent blocks in parallel");
+  // `groups` vertex blocks aligned with the 8-shard ranges: 35% erases
+  // of a random live edge, 3% of inserts across blocks, the rest
+  // inside one block. The writer flushes every 256 ops.
   const int groups = 8, block = smoke ? 128 : 512,
             ops = smoke ? 4000 : 40000;
-  Trace tr = Trace::blocks(groups, block, ops, /*cross_fraction=*/0.03,
-                           /*seed=*/7);
-  bench::row("%-28s %d blocks x %d vertices, %zu ops", "block-churn trace:",
-             groups, block, tr.ops.size());
+  const vertex_id n = static_cast<vertex_id>(groups) * block;
+  bench::row("%-28s %d blocks x %d vertices, %d ops", "block-churn workload:",
+             groups, block, ops);
   bench::row("%8s %12s %10s %14s %12s", "shards", "updates/s", "epochs",
              "cross_ops", "wall_ms");
   for (int shards : {1, 2, 4, 8}) {
     ServiceConfig cfg;
-    cfg.num_vertices = tr.num_vertices;
+    cfg.num_vertices = n;
     cfg.num_shards = shards;
     SldService svc(cfg);
-    ReplayOptions opt;
-    opt.ops_per_flush = 256;
-    ReplayReport rep = replay(tr, svc, opt);
-    bench::row("%8d %12.0f %10llu %14llu %12.2f", shards, rep.updates_per_s,
-               (unsigned long long)rep.epochs_published,
-               (unsigned long long)svc.stats().cross_ops, rep.wall_ms);
+    par::Rng rng(7);
+    std::vector<ticket_t> live;
+    const uint64_t epochs0 = svc.stats().epochs_published;
+    bench::Timer t;
+    for (int i = 0; i < ops; ++i) {
+      if (!live.empty() && rng.next_double() < 0.35) {
+        size_t j = rng.next_bounded(live.size());
+        svc.erase(live[j]);
+        live[j] = live.back();
+        live.pop_back();
+      } else {
+        vertex_id u, v;
+        if (rng.next_double() < 0.03) {
+          int ga = static_cast<int>(rng.next_bounded(groups));
+          int gb = static_cast<int>(rng.next_bounded(groups - 1));
+          if (gb >= ga) ++gb;
+          u = static_cast<vertex_id>(ga) * block + rng.next_bounded(block);
+          v = static_cast<vertex_id>(gb) * block + rng.next_bounded(block);
+        } else {
+          int g = static_cast<int>(rng.next_bounded(groups));
+          u = static_cast<vertex_id>(g) * block + rng.next_bounded(block);
+          do {
+            v = static_cast<vertex_id>(g) * block + rng.next_bounded(block);
+          } while (v == u);
+        }
+        live.push_back(svc.insert(u, v, rng.next_double()));
+      }
+      if (i % 256 == 255) svc.flush();
+    }
+    svc.flush();
+    const double wall_ms = t.ms();
+    const double updates_per_s = 1e3 * ops / wall_ms;
+    bench::row("%8d %12.0f %10llu %14llu %12.2f", shards, updates_per_s,
+               (unsigned long long)(svc.stats().epochs_published - epochs0),
+               (unsigned long long)svc.stats().cross_ops, wall_ms);
     std::string ss = std::to_string(shards);
     bench::json_log().metric("E-ENGINE-2", "updates_per_s_s" + ss,
-                             rep.updates_per_s, "updates/s");
-    bench::json_log().metric("E-ENGINE-2", "wall_ms_s" + ss, rep.wall_ms,
-                             "ms");
+                             updates_per_s, "updates/s");
+    bench::json_log().metric("E-ENGINE-2", "wall_ms_s" + ss, wall_ms, "ms");
     if (shards == 8) {
-      // Per-stage flush percentiles for the trajectory, straight from
-      // the engine's histograms (the obs subsystem measuring itself —
-      // the replay above drove the full drain/apply/build/publish
-      // pipeline through them).
+      // Per-stage flush percentiles straight from the engine's
+      // histograms: the loop above drove the full drain/apply/build/
+      // publish pipeline through them.
       auto m = svc.obs().registry.scrape();
       for (const char* stage : {"drain", "apply", "shards", "cross"}) {
         const auto* h = m.histogram(std::string("flush.") + stage);
@@ -176,437 +162,6 @@ static void shard_scaling(bool smoke) {
   }
 }
 
-static void coalescing(bool smoke) {
-  bench::header("E-ENGINE-3", "update coalescing: churn dies in the queue");
-  const vertex_id n = 4096;
-  bench::row("%12s %12s %12s %14s", "churn_frac", "enqueued", "applied",
-             "coalesced_%");
-  for (double churn : {0.0, 0.5, 0.9}) {
-    ServiceConfig cfg;
-    cfg.num_vertices = n;
-    SldService svc(cfg);
-    par::Rng rng(13);
-    const int ops = smoke ? 2000 : 20000;
-    std::vector<ticket_t> live;
-    for (int i = 0; i < ops; ++i) {
-      vertex_id u = rng.next_bounded(n), v;
-      do {
-        v = rng.next_bounded(n);
-      } while (v == u);
-      ticket_t t = svc.insert(u, v, rng.next_double());
-      if (rng.next_double() < churn) {
-        svc.erase(t);  // short-lived: annihilates pre-flush
-      } else {
-        live.push_back(t);
-      }
-      if (i % 512 == 511) svc.flush();
-    }
-    svc.flush();
-    auto r = svc.stats();
-    uint64_t enq = r.inserts_enqueued + r.erases_enqueued;
-    double pct = enq ? 100.0 * (enq - r.ops_applied) / enq : 0.0;
-    bench::row("%12.1f %12llu %12llu %13.1f%%", churn,
-               (unsigned long long)enq, (unsigned long long)r.ops_applied,
-               pct);
-    bench::json_log().metric(
-        "E-ENGINE-3",
-        "coalesced_pct_c" + std::to_string(static_cast<int>(churn * 100)),
-        pct, "%");
-  }
-}
-
-static void view_amortization(bool smoke) {
-  bench::header("E-ENGINE-4",
-                "ThresholdView/run(): one merge resolution, many queries");
-  // 4-shard service with enough sub-tau cross edges that every per-call
-  // query pays a fresh cross-shard union-find resolution.
-  const int shards = 4, block = smoke ? 256 : 1024;
-  const vertex_id n = static_cast<vertex_id>(shards) * block;
-  ServiceConfig cfg;
-  cfg.num_vertices = n;
-  cfg.num_shards = shards;
-  SldService svc(cfg);
-  par::Rng rng(2027);
-  const int edges = smoke ? 2000 : 12000;
-  for (int i = 0; i < edges; ++i) {
-    vertex_id u, v;
-    if (rng.next_double() < 0.15) {  // cross-shard
-      u = rng.next_bounded(n);
-      do {
-        v = rng.next_bounded(n);
-      } while (v / block == u / block);
-    } else {
-      int g = static_cast<int>(rng.next_bounded(shards));
-      u = static_cast<vertex_id>(g) * block + rng.next_bounded(block);
-      do {
-        v = static_cast<vertex_id>(g) * block + rng.next_bounded(block);
-      } while (v == u);
-    }
-    svc.insert(u, v, rng.next_double());
-  }
-  svc.flush();
-
-  const double tau = 0.35;
-  const int q = smoke ? 2000 : 20000;
-  std::vector<Query> queries;
-  queries.reserve(q);
-  par::Rng qrng(5);
-  for (int i = 0; i < q; ++i) {
-    vertex_id u = qrng.next_bounded(n), v = qrng.next_bounded(n);
-    switch (qrng.next_bounded(3)) {
-      case 0:
-        queries.push_back(SameClusterQuery{u, v, tau});
-        break;
-      case 1:
-        queries.push_back(ClusterSizeQuery{u, tau});
-        break;
-      default:
-        queries.push_back(ClusterReportQuery{u, tau});
-        break;
-    }
-  }
-
-  auto snap = svc.snapshot();
-  double t0 = now_ms();
-  for (const Query& query : queries) {
-    if (const auto* sc = std::get_if<SameClusterQuery>(&query))
-      snap->same_cluster(sc->u, sc->v, tau);
-    else if (const auto* cs = std::get_if<ClusterSizeQuery>(&query))
-      snap->cluster_size(cs->u, tau);
-    else if (const auto* cr = std::get_if<ClusterReportQuery>(&query))
-      snap->cluster_report(cr->u, tau);
-  }
-  double per_call_ms = now_ms() - t0;
-
-  auto before = svc.stats();
-  t0 = now_ms();
-  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
-  for (const Query& query : queries) tv->run(query);
-  double view_ms = now_ms() - t0;
-  auto after = svc.stats();
-
-  t0 = now_ms();
-  auto results = svc.run(queries);
-  double batch_ms = now_ms() - t0;
-
-  bench::row("%-24s %8zu queries @tau=%.2f, %zu cross edges", "mixed workload:",
-             queries.size(), tau, svc.snapshot()->cross().size());
-  bench::row("%-24s %10.2f ms  (%12.0f q/s)", "per-call conveniences:",
-             per_call_ms, 1e3 * q / per_call_ms);
-  bench::row("%-24s %10.2f ms  (%12.0f q/s)  %.1fx", "one ThresholdView:",
-             view_ms, 1e3 * q / view_ms, per_call_ms / view_ms);
-  bench::row("%-24s %10.2f ms  (%12.0f q/s)  %.1fx", "batched run():",
-             batch_ms, 1e3 * q / batch_ms, per_call_ms / batch_ms);
-  bench::row("%-24s %llu cross-uf builds for %d view queries (per-call: 1 each)",
-             "merge resolutions:",
-             (unsigned long long)(after.cross_uf_builds - before.cross_uf_builds),
-             q);
-  bench::json_log().metric("E-ENGINE-4", "per_call_ms", per_call_ms, "ms");
-  bench::json_log().metric("E-ENGINE-4", "view_ms", view_ms, "ms");
-  bench::json_log().metric("E-ENGINE-4", "batch_ms", batch_ms, "ms");
-  bench::json_log().metric("E-ENGINE-4", "view_speedup",
-                           view_ms > 0 ? per_call_ms / view_ms : 0.0, "x");
-  (void)results;
-}
-
-static void view_refresh(bool smoke) {
-  bench::header("E-ENGINE-5",
-                "refreshed() chain vs fresh view (1 of 8 shards dirty)");
-  const int shards = 8, block = smoke ? 256 : 2048;
-  const vertex_id n = static_cast<vertex_id>(shards) * block;
-  const double tau = 0.6;
-  ServiceConfig cfg;
-  cfg.num_vertices = n;
-  cfg.num_shards = shards;
-  SldService svc(cfg);
-  par::Rng rng(31);
-
-  // Dense intra-shard structure everywhere + sub-tau cross edges whose
-  // endpoints span all shards, so the resolution is nontrivial and the
-  // hot shard hosts cross endpoints (incremental path, not wholesale).
-  for (int k = 0; k < shards; ++k) {
-    vertex_id base = static_cast<vertex_id>(k) * block;
-    for (int i = 0; i < 3 * block; ++i) {
-      vertex_id u = base + rng.next_bounded(block), v;
-      do {
-        v = base + rng.next_bounded(block);
-      } while (v == u);
-      svc.insert(u, v, rng.next_double());
-    }
-  }
-  const int cross = smoke ? 800 : 6000;
-  for (int i = 0; i < cross; ++i) {
-    vertex_id u = rng.next_bounded(n), v;
-    do {
-      v = rng.next_bounded(n);
-    } while (v / block == u / block);
-    svc.insert(u, v, rng.next_double());
-  }
-  svc.flush();
-
-  // Initial full resolution (not timed).
-  auto chain = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
-
-  const int rounds = smoke ? 30 : 100, churn = smoke ? 64 : 256;
-  std::vector<ticket_t> hot_live;
-  double fresh_ms = 0, refresh_ms = 0;
-  size_t sanity = 0;
-  auto before = svc.stats();
-  for (int r = 0; r < rounds; ++r) {
-    // Skewed traffic: every op lands inside shard 0.
-    for (int i = 0; i < churn; ++i) {
-      if (!hot_live.empty() && rng.next_double() < 0.4) {
-        size_t j = rng.next_bounded(hot_live.size());
-        svc.erase(hot_live[j]);
-        hot_live[j] = hot_live.back();
-        hot_live.pop_back();
-      } else {
-        vertex_id u = rng.next_bounded(block), v;
-        do {
-          v = rng.next_bounded(block);
-        } while (v == u);
-        hot_live.push_back(svc.insert(u, v, rng.next_double()));
-      }
-    }
-    svc.flush();
-
-    auto snap = svc.snapshot();
-    double t0 = now_ms();
-    // Full resolution every epoch (poll-and-rebuild).
-    auto ftv = std::make_shared<const ThresholdView>(snap, tau);
-    fresh_ms += now_ms() - t0;
-
-    t0 = now_ms();
-    chain = ThresholdView::refreshed(chain, snap);  // 7 of 8 shards reused
-    refresh_ms += now_ms() - t0;
-
-    sanity += chain->num_cross_groups() == ftv->num_cross_groups();
-  }
-  auto after = svc.stats();
-
-  bench::row("%-26s %d shards x %d vertices, %zu cross edges, %d epochs",
-             "skewed-churn workload:", shards, block,
-             (size_t)svc.snapshot()->cross().size(), rounds);
-  bench::row("%-26s %10.3f ms/epoch", "fresh ThresholdView:",
-             fresh_ms / rounds);
-  bench::row("%-26s %10.3f ms/epoch  %.1fx", "refreshed() chain:",
-             refresh_ms / rounds, refresh_ms > 0 ? fresh_ms / refresh_ms : 0.0);
-  bench::row("%-26s %.1f reused / %.1f rebuilt per refresh; %llu incremental, "
-             "%llu full",
-             "shards per refresh:",
-             static_cast<double>(after.refresh_shards_reused -
-                                 before.refresh_shards_reused) /
-                 rounds,
-             static_cast<double>(after.refresh_shards_rebuilt -
-                                 before.refresh_shards_rebuilt) /
-                 rounds,
-             (unsigned long long)(after.cross_uf_incremental -
-                                  before.cross_uf_incremental),
-             (unsigned long long)(after.refresh_views_full -
-                                  before.refresh_views_full));
-  bench::json_log().metric("E-ENGINE-5", "fresh_ms_per_epoch",
-                           fresh_ms / rounds, "ms");
-  bench::json_log().metric("E-ENGINE-5", "refresh_ms_per_epoch",
-                           refresh_ms / rounds, "ms");
-  bench::json_log().metric("E-ENGINE-5", "refresh_speedup",
-                           refresh_ms > 0 ? fresh_ms / refresh_ms : 0.0, "x");
-  if (sanity != static_cast<size_t>(rounds))
-    bench::row("WARNING: refresh/fresh divergence in %zu rounds",
-               rounds - sanity);
-}
-
-static void broker_cross_client(bool smoke) {
-  bench::header("E-ENGINE-7",
-                "broker: cross-client batching at a shared tau across epochs");
-  const int shards = 4, block = smoke ? 256 : 1024;
-  const vertex_id n = static_cast<vertex_id>(shards) * block;
-  const double tau = 0.35;
-  const int clients = smoke ? 4 : 8;
-  const int rounds = smoke ? 8 : 30;
-  const int per_round = smoke ? 60 : 400;  // queries per client per round
-
-  enum Mode { kPerCaller, kSyncRun, kAsyncSubmit };
-  struct Row {
-    double wall_ms = 0, qps = 0, res_per_round = 0, reqs_per_group = 0;
-    double p50_us = 0, p99_us = 0;
-    // Engine-side fulfillment latency (broker.fulfill histogram:
-    // admission to promise resolution), vs the client-side p50/p99
-    // above which include future-reap scheduling.
-    double fulfill_p50_us = 0, fulfill_p99_us = 0;
-  };
-
-  auto run_mode = [&](Mode mode) {
-    ServiceConfig cfg;
-    cfg.num_vertices = n;
-    cfg.num_shards = shards;
-    SldService svc(cfg);
-    par::Rng rng(2027);
-    // E-ENGINE-4's workload shape: dense intra structure + 15% cross
-    // edges, so every resolution at tau has a real cross merge to pay.
-    const int edges = smoke ? 2000 : 12000;
-    for (int i = 0; i < edges; ++i) {
-      vertex_id u, v;
-      if (rng.next_double() < 0.15) {
-        u = rng.next_bounded(n);
-        do {
-          v = rng.next_bounded(n);
-        } while (v / block == u / block);
-      } else {
-        int g = static_cast<int>(rng.next_bounded(shards));
-        u = static_cast<vertex_id>(g) * block + rng.next_bounded(block);
-        do {
-          v = static_cast<vertex_id>(g) * block + rng.next_bounded(block);
-        } while (v == u);
-      }
-      svc.insert(u, v, rng.next_double());
-    }
-    svc.flush();
-
-    std::vector<double> lats;
-    lats.reserve(static_cast<size_t>(clients) * rounds * per_round);
-    std::mutex lat_mu;
-    auto before = svc.stats();
-    double t0 = now_ms();
-    for (int round = 0; round < rounds; ++round) {
-      // Skewed churn inside shard 0, one flush -> one new epoch.
-      for (int i = 0; i < 64; ++i) {
-        vertex_id u = rng.next_bounded(block), v;
-        do {
-          v = rng.next_bounded(block);
-        } while (v == u);
-        svc.insert(u, v, rng.next_double());
-      }
-      svc.flush();
-
-      std::vector<std::thread> cs;
-      cs.reserve(clients);
-      for (int c = 0; c < clients; ++c) {
-        cs.emplace_back([&, c, round] {
-          par::Rng qr(static_cast<uint64_t>(round) * 131 + c);
-          std::vector<double> local;
-          local.reserve(per_round);
-          if (mode == kPerCaller) {
-            // The pre-broker pattern: this client's own fresh view per
-            // epoch — N clients, N resolutions, zero sharing.
-            ThresholdView tv(svc.snapshot(), tau);
-            for (int i = 0; i < per_round; ++i) {
-              double s = now_ms();
-              tv.cluster_size(qr.next_bounded(n));
-              local.push_back(now_ms() - s);
-            }
-          } else if (mode == kSyncRun) {
-            for (int i = 0; i < per_round; ++i) {
-              Query q = ClusterSizeQuery{
-                  static_cast<vertex_id>(qr.next_bounded(n)), tau};
-              double s = now_ms();
-              svc.run(std::span<const Query>(&q, 1));
-              local.push_back(now_ms() - s);
-            }
-          } else {
-            // Pipelined submits, bounded window: latency recorded when
-            // the oldest future is reaped (≈ fulfillment under load).
-            std::deque<std::pair<std::future<ResultSet>, double>> window;
-            auto reap = [&] {
-              auto [fut, s] = std::move(window.front());
-              window.pop_front();
-              fut.get();
-              local.push_back(now_ms() - s);
-            };
-            for (int i = 0; i < per_round; ++i) {
-              QueryRequest req;
-              req.queries = {ClusterSizeQuery{
-                  static_cast<vertex_id>(qr.next_bounded(n)), tau}};
-              double s = now_ms();
-              window.emplace_back(svc.submit(std::move(req)), s);
-              if (window.size() >= 32) reap();
-            }
-            while (!window.empty()) reap();
-          }
-          std::lock_guard<std::mutex> lk(lat_mu);
-          lats.insert(lats.end(), local.begin(), local.end());
-        });
-      }
-      for (auto& t : cs) t.join();
-    }
-    double wall = now_ms() - t0;
-    auto after = svc.stats();
-
-    Row row;
-    row.wall_ms = wall;
-    row.qps = 1e3 * clients * per_round * rounds / wall;
-    uint64_t res = (after.cross_uf_builds - before.cross_uf_builds) +
-                   (after.cross_uf_incremental - before.cross_uf_incremental);
-    row.res_per_round = static_cast<double>(res) / rounds;
-    uint64_t groups = after.broker_groups - before.broker_groups;
-    row.reqs_per_group =
-        groups ? static_cast<double>(after.broker_group_requests -
-                                     before.broker_group_requests) /
-                     groups
-               : 0.0;
-    std::sort(lats.begin(), lats.end());
-    if (!lats.empty()) {
-      row.p50_us = 1e3 * lats[lats.size() / 2];
-      row.p99_us = 1e3 * lats[lats.size() * 99 / 100];
-    }
-    auto scrape = svc.obs().registry.scrape();
-    if (const auto* h = scrape.histogram("broker.fulfill"); h && h->count) {
-      row.fulfill_p50_us = h->p50() / 1e3;
-      row.fulfill_p99_us = h->p99() / 1e3;
-    }
-    return row;
-  };
-
-  Row per_caller = run_mode(kPerCaller);
-  Row sync_run = run_mode(kSyncRun);
-  Row async = run_mode(kAsyncSubmit);
-
-  bench::row("%-22s %d clients x %d q x %d epochs @tau=%.2f, %d shards",
-             "shared-tau workload:", clients, per_round, rounds, tau, shards);
-  bench::row("%-22s %9s %12s %10s %11s %9s %9s", "mode", "wall_ms", "q/s",
-             "res/epoch", "reqs/group", "p50_us", "p99_us");
-  bench::row("%-22s %9.1f %12.0f %10.1f %11s %9.2f %9.2f",
-             "per-caller views:", per_caller.wall_ms, per_caller.qps,
-             per_caller.res_per_round, "-", per_caller.p50_us,
-             per_caller.p99_us);
-  bench::row("%-22s %9.1f %12.0f %10.1f %11.1f %9.2f %9.2f",
-             "sync run() wrapper:", sync_run.wall_ms, sync_run.qps,
-             sync_run.res_per_round, sync_run.reqs_per_group, sync_run.p50_us,
-             sync_run.p99_us);
-  bench::row("%-22s %9.1f %12.0f %10.1f %11.1f %9.2f %9.2f",
-             "pipelined submit():", async.wall_ms, async.qps,
-             async.res_per_round, async.reqs_per_group, async.p50_us,
-             async.p99_us);
-  bench::row("%-22s per-caller pays ~%d resolutions/epoch; the broker pays "
-             "~1 per (epoch, tau) group fleet-wide",
-             "amortization:", clients);
-  bench::row("%-22s sync p50/p99 %0.2f/%0.2f us, async p50/p99 %0.2f/%0.2f "
-             "us (broker.fulfill histogram)",
-             "engine-side latency:", sync_run.fulfill_p50_us,
-             sync_run.fulfill_p99_us, async.fulfill_p50_us,
-             async.fulfill_p99_us);
-  bench::json_log().metric("E-ENGINE-7", "qps_per_caller", per_caller.qps,
-                           "q/s");
-  bench::json_log().metric("E-ENGINE-7", "qps_sync", sync_run.qps, "q/s");
-  bench::json_log().metric("E-ENGINE-7", "qps_async", async.qps, "q/s");
-  bench::json_log().metric("E-ENGINE-7", "res_per_epoch_async",
-                           async.res_per_round, "count");
-  bench::json_log().metric("E-ENGINE-7", "reqs_per_group_async",
-                           async.reqs_per_group, "count");
-  bench::json_log().metric("E-ENGINE-7", "client_p50_us", async.p50_us, "us");
-  bench::json_log().metric("E-ENGINE-7", "client_p99_us", async.p99_us, "us");
-  bench::json_log().metric("E-ENGINE-7", "broker_fulfill_p50_us",
-                           async.fulfill_p50_us, "us");
-  bench::json_log().metric("E-ENGINE-7", "broker_fulfill_p99_us",
-                           async.fulfill_p99_us, "us");
-  if (per_caller.res_per_round < clients * 0.9)
-    bench::row("WARNING: per-caller baseline resolved fewer views than "
-               "expected (%.1f/epoch)", per_caller.res_per_round);
-  if (sync_run.res_per_round > 2.5 || async.res_per_round > 2.5)
-    bench::row("WARNING: broker resolved more than expected per epoch "
-               "(sync %.1f, async %.1f)",
-               sync_run.res_per_round, async.res_per_round);
-}
-
 static void durability(bool smoke) {
   bench::header("E-ENGINE-8",
                 "durability: WAL tax per fsync policy, recovery, AsOf");
@@ -616,33 +171,8 @@ static void durability(bool smoke) {
   const int epochs = smoke ? 24 : 120;
   const int batch = smoke ? 64 : 512;
 
-  // One deterministic churny schedule, replayed identically under each
-  // persistence configuration (distinct weights keep replay exact).
-  auto drive = [&](SldService& svc) {
-    par::Rng rng(7);
-    uint64_t widx = 0;
-    std::vector<ticket_t> live;
-    for (int e = 0; e < epochs; ++e) {
-      for (int i = 0; i < batch; ++i) {
-        if (!live.empty() && rng.next_double() < 0.3) {
-          size_t j = rng.next_bounded(live.size());
-          svc.erase(live[j]);
-          live[j] = live.back();
-          live.pop_back();
-        } else {
-          vertex_id u = static_cast<vertex_id>(rng.next_bounded(n));
-          vertex_id v = static_cast<vertex_id>(rng.next_bounded(n - 1));
-          if (v >= u) ++v;
-          live.push_back(svc.insert(
-              u, v,
-              static_cast<double>(widx * 2654435761ull % 999983ull) /
-                  999983.0));
-          ++widx;
-        }
-      }
-      svc.flush();
-    }
-  };
+  // The same churny schedule under each persistence configuration.
+  auto drive = [&](SldService& svc) { churn(svc, n, epochs, batch, 7); };
 
   struct Variant {
     const char* label;
@@ -774,11 +304,6 @@ static void durability(bool smoke) {
 static void incremental_flush(bool smoke) {
   bench::header("E-ENGINE-9",
                 "incremental shard flush: COW patch vs full rebuild");
-  auto pct = [](std::vector<double> v, double q) {
-    std::sort(v.begin(), v.end());
-    return v[std::min(v.size() - 1,
-                      static_cast<size_t>(q * static_cast<double>(v.size())))];
-  };
   // Enough flushes per config that the p50 reflects the engine rather
   // than scheduling noise on small hosts (the slow tail is one-sided).
   const int rounds = smoke ? 32 : 48;
@@ -912,11 +437,6 @@ static void wire_serving(bool smoke) {
   bench::header("E-ENGINE-10",
                 "wire serving: RPC round trip vs submit(), replica fan-out");
   namespace fs = std::filesystem;
-  auto pct = [](std::vector<double> v, double q) {
-    std::sort(v.begin(), v.end());
-    return v[std::min(v.size() - 1,
-                      static_cast<size_t>(q * static_cast<double>(v.size())))];
-  };
   const fs::path dir =
       fs::temp_directory_path() /
       ("dynsld_bench_net_" +
@@ -932,32 +452,8 @@ static void wire_serving(bool smoke) {
     cfg.persist.dir = dir.string();  // replicas feed off the WAL stream
     cfg.persist.checkpoint_every = 16;
     SldService svc(cfg);
-    {
-      par::Rng rng(11);
-      uint64_t widx = 0;
-      std::vector<ticket_t> live;
-      const int epochs = smoke ? 12 : 48, batch = smoke ? 64 : 256;
-      for (int e = 0; e < epochs; ++e) {
-        for (int i = 0; i < batch; ++i) {
-          if (!live.empty() && rng.next_double() < 0.3) {
-            size_t j = rng.next_bounded(live.size());
-            svc.erase(live[j]);
-            live[j] = live.back();
-            live.pop_back();
-          } else {
-            vertex_id u = static_cast<vertex_id>(rng.next_bounded(n));
-            vertex_id v = static_cast<vertex_id>(rng.next_bounded(n - 1));
-            if (v >= u) ++v;
-            live.push_back(svc.insert(
-                u, v,
-                static_cast<double>(widx * 2654435761ull % 999983ull) /
-                    999983.0));
-            ++widx;
-          }
-        }
-        svc.flush();
-      }
-    }
+    churn(svc, n, /*epochs=*/smoke ? 12 : 48, /*batch=*/smoke ? 64 : 256,
+          /*seed=*/11);
     net::RpcServer server(svc);  // ephemeral loopback port
 
     // Round trip: the identical single-query request stream, submitted
@@ -1057,7 +553,6 @@ static void wire_serving(bool smoke) {
   }
   fs::remove_all(dir, ec);
 }
-
 int main(int argc, char** argv) {
 #if defined(__GLIBC__)
   // Snapshot arrays are a few hundred KB each; above glibc's default
@@ -1072,12 +567,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   bench::parse_json_arg(argc, argv, "engine", smoke, par::num_workers());
   std::printf("workers: %d%s\n", par::num_workers(), smoke ? " (smoke)" : "");
-  concurrent_serving(smoke);
   shard_scaling(smoke);
-  coalescing(smoke);
-  view_amortization(smoke);
-  view_refresh(smoke);
-  broker_cross_client(smoke);
   durability(smoke);
   incremental_flush(smoke);
   wire_serving(smoke);

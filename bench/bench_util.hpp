@@ -1,11 +1,11 @@
 // Shared benchmark helpers: wall-clock timing, aligned table output,
 // and the machine-readable trajectory file. Every bench prints the
-// experiment id from DESIGN.md, the workload parameters, measured
-// times, and machine-independent work proxies (pointer changes,
-// queries) so the *shape* claims are checkable even on throttled
-// hardware; with --json the same headline numbers are also written as
-// a BENCH_*.json record that tools/bench_diff.py can compare across
-// commits and tools/bench_schema_check.py can validate in CI.
+// experiment id from docs/BENCHMARKS.md, the workload parameters,
+// measured times, and machine-independent work proxies (pointer
+// changes, queries) so the *shape* claims are checkable even on
+// throttled hardware; with --json the same headline numbers are also
+// written as a BENCH_*.json record. These binaries are not gated: the
+// gated benchmark is perfbench/.
 #pragma once
 
 #include <chrono>
@@ -51,14 +51,14 @@ inline void row(const char* fmt, ...) {
 //
 //   {"schema": "dynsld-bench-v1", "bench": "engine", "smoke": true,
 //    "workers": 4,
-//    "metrics": [{"experiment": "E-ENGINE-7",
-//                 "name": "broker_fulfill_p50_us",
-//                 "value": 123.4, "unit": "us"}, ...]}
+//    "metrics": [{"experiment": "E-ENGINE-10",
+//                 "name": "wire_p50_us",
+//                 "value": 43.2, "unit": "us"}, ...]}
 //
-// Unit conventions (bench_diff.py keys regression direction off them):
-// time units ("ns", "us", "ms", "s") are lower-is-better; rates ("*/s")
-// and speedup factors ("x") are higher-is-better; everything else
-// ("count", "%", ...) is reported but never fails a comparison.
+// Unit conventions: time units ("ns", "us", "ms", "s") are
+// lower-is-better; rates ("*/s") and speedup factors ("x") are
+// higher-is-better; everything else ("count", "%", ...) has no
+// direction.
 class JsonLog {
  public:
   /// Arm the log: metrics recorded after this call are written to

@@ -35,10 +35,11 @@
 // Amortization: all Latest requests of one dispatch cycle share the
 // cycle's epoch, so concurrent clients at one tau collapse into a
 // single (epoch, tau) group backed by one ThresholdView — one cross-UF
-// resolution no matter how many clients asked (the E-ENGINE-7 claim,
-// counter-verified). The view cache is carried across epochs through
-// ThresholdView::refreshed, so steady-state traffic at stable taus
-// pays the *incremental* refresh cost per epoch, not a full resolve.
+// resolution no matter how many clients asked (test_broker pins it
+// through views_built/broker_groups). The view cache is carried across
+// epochs through ThresholdView::refreshed, so steady-state traffic at
+// stable taus pays the *incremental* refresh cost per epoch, not a
+// full resolve.
 // Latest, Pinned{snap} and AsOf{epoch} all route through this one
 // executor; there is no second read path.
 //

@@ -127,12 +127,7 @@ void DendrogramSnapshot::derive_csr_and_counts() {
     std::memmove(leaf_off_.data() + 1, leaf_off_.data(), m * sizeof(uint32_t));
   leaf_off_[0] = 0;
 
-  derive_counts();
-}
-
-void DendrogramSnapshot::derive_counts() {
   // Subtree vertex counts: one ascending pass (parent slot > child slot).
-  const size_t m = parent_.size();
   count_.resize(m);
   for (size_t i = 0; i < m; ++i) count_[i] = leaf_off_[i + 1] - leaf_off_[i];
   for (size_t i = 0; i < m; ++i) {

@@ -141,16 +141,10 @@ class DendrogramSnapshot {
   DendrogramSnapshot() = default;
 
   /// Derive child CSR, leaf CSR and subtree counts from parent_ and
-  /// leaf_parent_ (already filled). Shared by the fresh build and the
-  /// incremental patch so derived arrays are bit-identical between the
-  /// two paths by construction.
+  /// leaf_parent_ (already filled). Shared by the fresh build, the
+  /// incremental patch and the checkpoint decoder, so derived arrays
+  /// are bit-identical across the three by construction.
   void derive_csr_and_counts();
-
-  /// The counts tail of derive_csr_and_counts (subtree vertex counts
-  /// from leaf_off_ and parent_), split out so the incremental patch —
-  /// which delta-patches the CSR arrays instead of re-deriving them —
-  /// still computes counts through the exact shared code.
-  void derive_counts();
 
   /// Derive jump_ from parent_ in one descending slot pass (parents
   /// sit at larger slots), using `depth` as scratch. Shared by the

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "engine/snapshot.hpp"
 #include "obs/trace.hpp"
@@ -14,6 +15,7 @@ namespace dynsld::persist {
 
 namespace {
 
+constexpr int32_t kNoSlot = engine::DendrogramSnapshot::kNoSlot;
 constexpr char kMagic[8] = {'D', 'S', 'L', 'D', 'C', 'K', 'P', '1'};
 // v2: EpochDelta gained per-shard patch records (shard_patch).
 // v3: each shard encodes one jump-pointer array in place of the
@@ -94,11 +96,16 @@ engine::EpochManager::Snap SnapshotCodec::decode(
   snap->map_.n = in.u32();
   snap->map_.num_shards = static_cast<int>(in.u32());
   snap->map_.stride = in.u32();
-  if (!in.ok() || snap->map_.num_shards < 1 ||
-      snap->map_.num_shards > 1 << 20)
+  const engine::ShardMap& map = snap->map_;
+  // Queries route vertex v < n to shard v / stride, so the map must be
+  // the one the engine would have made for (n, num_shards), and its
+  // shards must cover [0, n).
+  if (!in.ok() || map.num_shards < 1 || map.num_shards > 1 << 20 ||
+      map.stride != engine::ShardMap::make(map.n, map.num_shards).stride ||
+      static_cast<uint64_t>(map.stride) * map.num_shards < map.n)
     return nullptr;
-  snap->shards_.reserve(snap->map_.num_shards);
-  for (int k = 0; k < snap->map_.num_shards; ++k) {
+  snap->shards_.reserve(map.num_shards);
+  for (int k = 0; k < map.num_shards; ++k) {
     auto d = std::shared_ptr<engine::DendrogramSnapshot>(
         new engine::DendrogramSnapshot());
     d->n_ = in.u32();
@@ -107,24 +114,47 @@ engine::EpochManager::Snap SnapshotCodec::decode(
     d->v_ = in.pod_vec<vertex_id>();
     d->weight_ = in.pod_vec<double>();
     d->parent_ = in.pod_vec<int32_t>();
-    d->count_ = in.pod_vec<uint64_t>();
+    const auto count = in.pod_vec<uint64_t>();
     d->leaf_parent_ = in.pod_vec<int32_t>();
-    d->child_off_ = in.pod_vec<uint32_t>();
-    d->child_list_ = in.pod_vec<uint32_t>();
-    d->leaf_off_ = in.pod_vec<uint32_t>();
-    d->leaf_list_ = in.pod_vec<uint32_t>();
-    d->jump_ = in.pod_vec<int32_t>();
-    if (!in.ok() || d->jump_.size() != d->parent_.size()) return nullptr;
-    // top_of follows jumps unchecked: each must name the slot itself
-    // or a larger one (an ancestor) inside the table.
-    for (size_t i = 0; i < d->jump_.size(); ++i)
-      if (d->jump_[i] < static_cast<int32_t>(i) ||
-          static_cast<size_t>(d->jump_[i]) >= d->jump_.size())
+    const auto child_off = in.pod_vec<uint32_t>();
+    const auto child_list = in.pod_vec<uint32_t>();
+    const auto leaf_off = in.pod_vec<uint32_t>();
+    const auto leaf_list = in.pod_vec<uint32_t>();
+    const auto jump = in.pod_vec<int32_t>();
+    // Queries follow every index unchecked. Validate the primary
+    // arrays, then re-derive the rest through the build's own helpers
+    // and accept only stored copies equal to them.
+    const size_t m = d->parent_.size();
+    const vertex_id n = d->n_, base = d->base_;
+    if (!in.ok() || n != map.local_size(k) || base != map.base(k) ||
+        m > static_cast<size_t>(std::numeric_limits<int32_t>::max()) ||
+        d->u_.size() != m || d->v_.size() != m || d->weight_.size() != m ||
+        d->leaf_parent_.size() != n)
+      return nullptr;
+    for (size_t i = 0; i < m; ++i) {
+      const int32_t p = d->parent_[i];
+      if ((p != kNoSlot &&
+           (p <= static_cast<int32_t>(i) || static_cast<size_t>(p) >= m)) ||
+          d->u_[i] - base >= n || d->v_[i] - base >= n)
         return nullptr;
+    }
+    for (const int32_t lp : d->leaf_parent_)
+      if (lp != kNoSlot && (lp < 0 || static_cast<size_t>(lp) >= m))
+        return nullptr;
+    d->derive_csr_and_counts();
+    std::vector<uint32_t> depth;
+    d->derive_jumps(depth);
+    if (d->count_ != count || d->child_off_ != child_off ||
+        d->child_list_ != child_list || d->leaf_off_ != leaf_off ||
+        d->leaf_list_ != leaf_list || d->jump_ != jump)
+      return nullptr;
     snap->shards_.push_back(std::move(d));
   }
+  auto cross = in.pod_vec<engine::CrossEdgeView::Edge>();
+  for (const engine::CrossEdgeView::Edge& e : cross)
+    if (e.u >= map.n || e.v >= map.n) return nullptr;
   snap->cross_ = std::make_shared<const engine::CrossEdgeView>(
-      in.pod_vec<engine::CrossEdgeView::Edge>());
+      std::move(cross));
   engine::EpochDelta& dl = snap->delta_;
   dl.base_epoch = in.u64();
   dl.shard_rebuilt = in.pod_vec<char>();

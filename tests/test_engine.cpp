@@ -16,7 +16,6 @@
 #include "engine/cluster_view.hpp"
 #include "engine/mutation_queue.hpp"
 #include "engine/query.hpp"
-#include "engine/replay.hpp"
 #include "engine/sld_service.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/subscription.hpp"
@@ -952,28 +951,6 @@ TEST(SubscriptionHub, CallbackFiresOnNotifyAndNeverAfterRemove) {
   hub.notify(snap);
   EXPECT_EQ(fired.load(), final_fired);
   hub.remove(token);  // removing twice is a no-op
-}
-
-/// Replay driver smoke test: the sliding-window trace ends with the
-/// same clustering whether driven through the service or re-derived
-/// from the captured edge set.
-TEST(Replay, SlidingWindowTraceMatchesReference) {
-  Trace tr = Trace::sliding_window(/*window=*/40, /*steps=*/4, /*per_step=*/10,
-                                   /*connect_radius=*/0.8, /*seed=*/11);
-  ServiceConfig cfg;
-  cfg.num_vertices = tr.num_vertices;
-  cfg.capture_edges = true;
-  SldService svc(cfg);
-  ReplayOptions opt;
-  opt.reader_threads = 2;
-  opt.tau = 0.35;
-  opt.ops_per_flush = 16;
-  ReplayReport rep = replay(tr, svc, opt);
-  EXPECT_EQ(rep.ops_applied, tr.ops.size());
-  EXPECT_GT(rep.epochs_published, 0u);
-  auto snap = svc.snapshot();
-  auto ref = reference_labels(tr.num_vertices, snap->captured_edges(), 0.35);
-  expect_same_partition(ref, snap->flat_clustering(0.35));
 }
 
 }  // namespace

@@ -541,10 +541,11 @@ TEST(Checkpoint, ReadRejectsVersion2File) {
   EXPECT_FALSE(persist::CheckpointWriter::read(bytes, &data));
 }
 
-/// Decode refuses a jump pointer that top_of could not follow safely:
-/// one past the node table, or one below its own slot (not an
-/// ancestor).
-TEST(Checkpoint, DecodeRejectsJumpOutsideAncestors) {
+/// Queries follow the decoded arrays unchecked, so decode refuses any
+/// index they could not follow safely: a parent slot far past the node
+/// table, a child-list entry the parent array does not derive, and a
+/// jump one past the table or below its own slot (not an ancestor).
+TEST(Checkpoint, DecodeRejectsIndexOutsideItsTable) {
   ServiceConfig cfg;
   cfg.num_vertices = 16;
   cfg.num_shards = 1;
@@ -558,23 +559,44 @@ TEST(Checkpoint, DecodeRejectsJumpOutsideAncestors) {
   persist::SnapshotCodec::encode_shard(snap->shard(0), shard);
   const size_t at = full.bytes().find(shard.bytes());
   ASSERT_NE(at, std::string::npos);
-  // encode_shard ends with the jump array; its last entry is the
-  // root's, which jumps to itself (slot m - 1).
   const size_t m = snap->shard(0).num_nodes();
   ASSERT_GE(m, 2u);
-  const size_t root_jump = at + shard.bytes().size() - 4;
-  auto decodes = [](const std::string& bytes) {
-    persist::ByteReader r(bytes.data(), bytes.size());
-    return persist::SnapshotCodec::decode(r, nullptr, nullptr) != nullptr;
-  };
-  EXPECT_TRUE(decodes(full.bytes()));
-  for (size_t bad : {m, m - 2}) {
+  // Walk encode_shard's layout (u32 n, u32 base, then u64-counted
+  // arrays) to the first entry of parent_ and of child_list_. The
+  // unit ends with the jump array, whose last entry is the root's: it
+  // jumps to itself (slot m - 1).
+  persist::ByteReader r(shard.bytes().data(), shard.bytes().size());
+  auto entry_at = [&] { return shard.bytes().size() - r.remaining() + 8; };
+  r.u32();
+  r.u32();
+  r.pod_vec<vertex_id>();  // u_
+  r.pod_vec<vertex_id>();  // v_
+  r.pod_vec<double>();     // weight_
+  const size_t parent_at = entry_at();
+  r.pod_vec<int32_t>();    // parent_
+  r.pod_vec<uint64_t>();   // count_
+  r.pod_vec<int32_t>();    // leaf_parent_
+  r.pod_vec<uint32_t>();   // child_off_
+  const size_t child_list_at = entry_at();
+  ASSERT_GE(r.pod_vec<uint32_t>().size(), 1u);  // child_list_
+  ASSERT_TRUE(r.ok());
+  const size_t root_jump_at = shard.bytes().size() - 4;
+
+  auto decodes_with = [&](size_t entry, uint32_t value) {
     persist::ByteWriter w;
-    w.u32(static_cast<uint32_t>(bad));
+    w.u32(value);
     std::string bytes = full.bytes();
-    bytes.replace(root_jump, 4, w.bytes());
-    EXPECT_FALSE(decodes(bytes)) << "jump " << bad;
-  }
+    bytes.replace(at + entry, 4, w.bytes());
+    persist::ByteReader in(bytes.data(), bytes.size());
+    return persist::SnapshotCodec::decode(in, nullptr, nullptr) != nullptr;
+  };
+  persist::ByteReader whole(full.bytes().data(), full.bytes().size());
+  EXPECT_NE(persist::SnapshotCodec::decode(whole, nullptr, nullptr), nullptr);
+  EXPECT_FALSE(decodes_with(parent_at, 1u << 28)) << "parent_[0]";
+  EXPECT_FALSE(decodes_with(child_list_at, 1u << 28)) << "child_list_[0]";
+  for (size_t bad : {m, m - 2})
+    EXPECT_FALSE(decodes_with(root_jump_at, static_cast<uint32_t>(bad)))
+        << "jump " << bad;
 }
 
 // ---- service wiring ---------------------------------------------------
