@@ -284,47 +284,58 @@ ThresholdView::LabelSet ThresholdView::build_labels() const {
   const Resolution* res = res_.get();
   LabelSet ls;
 
-  // Per-shard label blocks concatenate into the flat array; the
-  // per-shard histograms merge into `acc`.
-  ls.flat.resize(map.n);
-  std::map<uint64_t, int64_t> acc;
-  for (int k = 0; k < map.num_shards; ++k) {
-    DendrogramSnapshot::FlatLabels fl = es.shard(k).flat_labels(tau_);
-    std::copy(fl.label.begin(), fl.label.end(), ls.flat.begin() + map.base(k));
-    for (const auto& [size, cnt] : fl.hist)
-      acc[size] += static_cast<int64_t>(cnt);
-  }
-
+  // Canonical label of a blob's cluster, O(1): the vertex itself for a
+  // singleton blob, the top node's u endpoint otherwise — the same
+  // label flat_labels() assigns, so an un-merged blob needs no
+  // override. A group's label is the min over its blobs' canons —
+  // order-independent, so an incremental and a from-scratch resolution
+  // agree on it bit-for-bit.
+  auto canon = [&](const Blob& b) -> vertex_id {
+    return b.top == DendrogramSnapshot::kNoSlot
+               ? b.vtx
+               : es.shard(b.shard).slot_u(b.top);
+  };
+  std::vector<vertex_id> glabel;
   if (res) {
-    // Canonical label of a blob's cluster, O(1): the vertex itself for
-    // a singleton blob, the top node's u endpoint otherwise — the same
-    // label flat_labels() assigns, so an un-merged blob needs no write.
-    auto canon = [&](const Blob& b) -> vertex_id {
-      return b.top == DendrogramSnapshot::kNoSlot
-                 ? b.vtx
-                 : es.shard(b.shard).slot_u(b.top);
-    };
-    // A group's canonical label: min over its blobs' canons —
-    // order-independent, so an incremental and a from-scratch
-    // resolution agree on it bit-for-bit.
-    std::vector<vertex_id> glabel(res->group_size.size(),
-                                  std::numeric_limits<vertex_id>::max());
+    glabel.assign(res->group_size.size(),
+                  std::numeric_limits<vertex_id>::max());
     for (size_t i = 0; i < res->blobs.size(); ++i)
       glabel[res->blob_group[i]] =
           std::min(glabel[res->blob_group[i]], canon(res->blobs[i]));
-    // Members of group blobs get their group label.
-    std::vector<vertex_id> members;
+  }
+
+  // Per-shard label blocks write straight into the flat array; a
+  // clustered blob whose canon is not its group's label passes the
+  // group label in as an override of its top slot, so the shard sweep
+  // writes every member's final label. The per-shard histograms merge
+  // into `acc`.
+  ls.flat.resize(map.n);
+  std::map<uint64_t, int64_t> acc;
+  std::vector<DendrogramSnapshot::LabelOverride> overrides;
+  for (int k = 0; k < map.num_shards; ++k) {
+    overrides.clear();
+    if (res) {
+      for (uint32_t i = res->blob_base[k]; i < res->blob_base[k + 1]; ++i) {
+        const Blob& b = res->blobs[i];
+        const vertex_id gl = glabel[res->blob_group[i]];
+        if (b.top != DendrogramSnapshot::kNoSlot && canon(b) != gl)
+          overrides.push_back({b.top, gl});
+      }
+    }
+    const DendrogramSnapshot& d = es.shard(k);
+    const auto hist = d.flat_labels(
+        tau_,
+        std::span<vertex_id>(ls.flat.data() + map.base(k), d.num_vertices()),
+        overrides);
+    for (const auto& [size, cnt] : hist) acc[size] += static_cast<int64_t>(cnt);
+  }
+
+  if (res) {
+    // Cross-touched singletons take their group label directly.
     for (size_t i = 0; i < res->blobs.size(); ++i) {
       const Blob& b = res->blobs[i];
-      vertex_id gl = glabel[res->blob_group[i]];
-      if (b.top == DendrogramSnapshot::kNoSlot) {
-        ls.flat[b.vtx] = gl;
-        continue;
-      }
-      if (canon(b) == gl) continue;  // base label already correct
-      members.clear();
-      es.shard(b.shard).members_of(b.top, members);
-      for (vertex_id v : members) ls.flat[v] = gl;
+      if (b.top == DendrogramSnapshot::kNoSlot)
+        ls.flat[b.vtx] = glabel[res->blob_group[i]];
     }
     // The histogram never touches the O(n) array: move each cross
     // group's blob clusters into one merged bin.

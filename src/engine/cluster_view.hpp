@@ -50,7 +50,7 @@
 //
 // Flat labels are canonical — a cluster's label is a pure function of
 // the shard snapshots and the resolution (DendrogramSnapshot::
-// FlatLabels + min-over-group fixups), never of traversal order or
+// flat_labels with min-over-group label overrides), never of order or
 // refresh history — so a refreshed view and a fresh one materialize
 // bit-identical arrays. The size histogram assembles from per-shard
 // histograms and cross-group sizes without touching the O(n) array.

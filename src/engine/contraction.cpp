@@ -266,11 +266,10 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
     assert(s.leaf_parent_[v] != kRemovedSlot);
 #endif
 
-  // 8. Child CSR / leaf CSR / counts: the exact code path the fresh
-  //    build runs, so the derived arrays match bit-for-bit. (A delta
-  //    fill that re-emitted surviving runs was measured 2x slower than
-  //    this counting sort — the sort is two tight streaming passes.)
-  s.derive_csr_and_counts();
+  // 8. Subtree counts: the exact code path the fresh build runs, so
+  //    they match bit-for-bit. The cluster-report CSR is not built
+  //    here; the snapshot derives it on its first members_of() call.
+  s.derive_counts();
 
   // 9. Jump pointers: one descending pass through the fresh build's
   //    own helper.

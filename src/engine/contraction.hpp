@@ -21,8 +21,9 @@
 //      order is already sorted: a linear merge replaces the O(m log m)
 //      sort), remapping every slot-valued array copy-on-write;
 //   4. recomputes per-vertex leaf hooks only for vertices whose
-//      incident edge set changed, and re-derives the CSR/count arrays
-//      through the exact code path the fresh build uses;
+//      incident edge set changed, and re-derives the subtree counts
+//      through the exact code path the fresh build uses (no CSR: the
+//      snapshot builds that lazily for cluster reports);
 //   5. re-derives the jump pointers in one O(m) pass, again through
 //      the fresh build's own helper. Dense slots renumber on every add
 //      or remove, so no slot-valued array survives an epoch unchanged;

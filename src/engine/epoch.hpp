@@ -122,11 +122,6 @@ struct EpochDelta {
   /// tau < cross_min_w reads the same sub-tau prefix before and after,
   /// so its cross merge is untouched even though the table changed.
   double cross_min_w = std::numeric_limits<double>::infinity();
-  /// Vertex mass of the rebuilt shards (sum of their local range
-  /// sizes): every vertex whose per-shard cluster could have changed
-  /// this flush lives in that mass. A record of the flush's footprint
-  /// (checkpoint codec v3 carries it); no read path consumes it.
-  uint64_t verts_rebuilt = 0;
 
   bool cross_changed() const { return cross_inserted + cross_erased != 0; }
   int num_rebuilt() const {

@@ -146,10 +146,6 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
   snap->delta_.cross_inserted = delta_cross_ins_;
   snap->delta_.cross_erased = delta_cross_del_;
   snap->delta_.cross_min_w = delta_cross_min_w_;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    if (snap->delta_.shard_rebuilt[k])
-      snap->delta_.verts_rebuilt += map_.local_size(static_cast<int>(k));
-  }
   delta_cross_ins_ = delta_cross_del_ = 0;
   delta_cross_min_w_ = std::numeric_limits<double>::infinity();
 

@@ -1,9 +1,10 @@
 #include "engine/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <map>
 #include <cstring>
+#include <map>
 
 namespace dynsld::engine {
 
@@ -51,7 +52,7 @@ std::shared_ptr<const DendrogramSnapshot> DendrogramSnapshot::build(
   for (vertex_id v = 0; v < s.n_; ++v)
     s.leaf_parent_[v] = estar[v] == kNoEdge ? kNoSlot : slot_of[estar[v]];
 
-  s.derive_csr_and_counts();
+  s.derive_counts();
 
   std::vector<uint32_t> depth;
   s.derive_jumps(depth);
@@ -81,7 +82,20 @@ void DendrogramSnapshot::derive_jumps(std::vector<uint32_t>& depth) {
   }
 }
 
-void DendrogramSnapshot::derive_csr_and_counts() {
+void DendrogramSnapshot::derive_counts() {
+  // Leaves per slot, then subtree vertex counts in one ascending pass
+  // (parent slot > child slot).
+  const size_t m = parent_.size();
+  count_.assign(m, 0);
+  for (vertex_id v = 0; v < n_; ++v) {
+    if (leaf_parent_[v] != kNoSlot) ++count_[leaf_parent_[v]];
+  }
+  for (size_t i = 0; i < m; ++i) {
+    if (parent_[i] != kNoSlot) count_[parent_[i]] += count_[i];
+  }
+}
+
+void DendrogramSnapshot::derive_csr() const {
   const size_t m = parent_.size();
 
   // Child CSR from the parent array (counting sort by parent). Counts
@@ -126,13 +140,6 @@ void DendrogramSnapshot::derive_csr_and_counts() {
   if (m)
     std::memmove(leaf_off_.data() + 1, leaf_off_.data(), m * sizeof(uint32_t));
   leaf_off_[0] = 0;
-
-  // Subtree vertex counts: one ascending pass (parent slot > child slot).
-  count_.resize(m);
-  for (size_t i = 0; i < m; ++i) count_[i] = leaf_off_[i + 1] - leaf_off_[i];
-  for (size_t i = 0; i < m; ++i) {
-    if (parent_[i] != kNoSlot) count_[parent_[i]] += count_[i];
-  }
 }
 
 int32_t DendrogramSnapshot::top_of(vertex_id v, double tau) const {
@@ -170,6 +177,7 @@ uint64_t DendrogramSnapshot::num_clusters(double tau) const {
 
 void DendrogramSnapshot::members_of(int32_t top,
                                     std::vector<vertex_id>& out) const {
+  std::call_once(csr_once_, [this] { derive_csr(); });
   std::vector<int32_t> stack{top};
   while (!stack.empty()) {
     int32_t x = stack.back();
@@ -191,45 +199,67 @@ std::vector<vertex_id> DendrogramSnapshot::cluster_report(vertex_id u,
   return out;
 }
 
-DendrogramSnapshot::FlatLabels DendrogramSnapshot::flat_labels(
-    double tau) const {
-  FlatLabels out;
-  const size_t m = weight_.size();
-  // Descending slot pass: parents sit at larger slots, so top[parent]
-  // is final when slot i is visited. A slot whose own weight exceeds
-  // tau is inactive (kNoSlot); an active slot inherits its parent's top
-  // when the parent is active, else it IS the top of its cluster.
-  std::vector<int32_t> top(m);
-  std::map<uint64_t, uint64_t> hist;
+DendrogramSnapshot::Histogram DendrogramSnapshot::flat_labels(
+    double tau, std::span<vertex_id> label,
+    std::span<const LabelOverride> overrides) const {
+  assert(label.size() == n_);
+  // Nodes are rank-sorted, so the nodes active at tau (weight <= tau)
+  // are the slot prefix [0, a). A slot tops its cluster when its parent
+  // lies outside the prefix; a root's kNoSlot, read unsigned, does too.
+  const uint32_t a = static_cast<uint32_t>(
+      std::upper_bound(weight_.begin(), weight_.end(), tau) - weight_.begin());
+  // The sweep visits tops in descending slot order, so it consumes the
+  // overrides sorted the same way with one cursor.
+  std::vector<LabelOverride> ov(overrides.begin(), overrides.end());
+  std::sort(ov.begin(), ov.end(),
+            [](const LabelOverride& x, const LabelOverride& y) {
+              return x.top > y.top;
+            });
+  size_t oi = 0;
+  // Most clusters are small: their sizes count in a direct-indexed
+  // array, and only the rare large sizes go through the ordered map.
+  constexpr uint32_t kSmall = 64;
+  std::array<uint64_t, kSmall> small{};
+  std::map<uint64_t, uint64_t> large;
   uint64_t singletons = n_;
-  for (size_t i = m; i-- > 0;) {
-    if (weight_[i] > tau) {
-      top[i] = kNoSlot;
+  // Descending pass over the active prefix: parents sit at larger
+  // slots, so lab[parent] is final when slot i is visited. A slot
+  // inherits its parent's label, or, as a top, takes its override or
+  // its own u endpoint (a member vertex).
+  std::vector<vertex_id> lab(a);
+  for (uint32_t i = a; i-- > 0;) {
+    const uint32_t p = static_cast<uint32_t>(parent_[i]);
+    if (p < a) {
+      lab[i] = lab[p];
       continue;
     }
-    int32_t p = parent_[i];
-    top[i] = (p != kNoSlot && top[p] != kNoSlot) ? top[p]
-                                                 : static_cast<int32_t>(i);
-    if (top[i] == static_cast<int32_t>(i)) {  // i tops a cluster at tau
-      ++hist[count_[i]];
-      singletons -= count_[i];
-    }
+    const int32_t top = static_cast<int32_t>(i);
+    while (oi < ov.size() && ov[oi].top > top) ++oi;
+    lab[i] = oi < ov.size() && ov[oi].top == top ? ov[oi].label : u_[i];
+    const uint32_t c = count_[i];
+    if (c < kSmall)
+      ++small[c];
+    else
+      ++large[c];
+    singletons -= c;
   }
-  if (singletons) hist[1] += singletons;
-  // All members of a cluster share the same top node, so the top's u
-  // endpoint (itself a member) is a consistent canonical label.
-  out.label.resize(n_);
+  small[1] += singletons;
+  // Vertex pass: one lookup per vertex, off e*_v's slot.
   for (vertex_id v = 0; v < n_; ++v) {
-    int32_t lp = leaf_parent_[v];
-    out.label[v] =
-        (lp == kNoSlot || weight_[lp] > tau) ? v + base_ : u_[top[lp]];
+    const uint32_t lp = static_cast<uint32_t>(leaf_parent_[v]);
+    label[v] = lp < a ? lab[lp] : v + base_;
   }
-  out.hist.assign(hist.begin(), hist.end());
-  return out;
+  Histogram hist;
+  for (uint32_t c = 1; c < kSmall; ++c)
+    if (small[c]) hist.emplace_back(c, small[c]);
+  hist.insert(hist.end(), large.begin(), large.end());
+  return hist;
 }
 
 std::vector<vertex_id> DendrogramSnapshot::flat_clustering(double tau) const {
-  return flat_labels(tau).label;
+  std::vector<vertex_id> label(n_);
+  flat_labels(tau, label);
+  return label;
 }
 
 void DendrogramSnapshot::threshold_union(UnionFind& uf, double tau) const {

@@ -8,8 +8,8 @@
 //   - nodes densely renumbered in ascending rank order, so a node's
 //     parent always has a larger slot and a single ascending pass
 //     computes subtree vertex counts bottom-up;
-//   - CSR child lists (internal children) and leaf lists (vertices
-//     whose minimum incident edge e*_v is the node) for cluster report;
+//   - per vertex, the slot of its minimum incident edge e*_v (its leaf
+//     hook);
 //   - one skew-binary jump pointer per node (Myers, "An applicative
 //     random-access stack", IPL 1983): because weights never decrease
 //     towards the root, the top cluster node of v at threshold tau
@@ -17,10 +17,18 @@
 //     taking the jump while its weight is <= tau and the parent
 //     otherwise — O(log h) steps, O(m) to build, 4 B per node.
 //
+// The primary arrays (endpoints, weights, parents, leaf hooks) and the
+// two derivations every read needs (subtree counts, jumps) are built
+// eagerly. The CSR child and leaf lists serve only the §6.1 cluster
+// report, so they are built lazily, once, by the first members_of()
+// call: no flush pays for them, and the O(log h + |cluster|) bound
+// holds from the second report on.
+//
 // Build is O(n + m log m) from const DynSLD accessors only; every query
-// method is const and safe from any number of threads. Readers hold the
-// snapshot via shared_ptr, which doubles as the epoch reclamation
-// scheme: a superseded snapshot is freed when its last reader drops it.
+// method is const and safe from any number of threads (the lazy CSR
+// build is a std::call_once). Readers hold the snapshot via shared_ptr,
+// which doubles as the epoch reclamation scheme: a superseded snapshot
+// is freed when its last reader drops it.
 //
 // Shard-local vertex spaces: a sharded backend keeps each shard's
 // DynamicClustering over local ids [0, stride). The snapshot is built
@@ -31,6 +39,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "dendrogram/static_sld.hpp"
@@ -44,10 +54,11 @@ struct SnapshotCodec;  // persist/checkpoint.hpp
 namespace dynsld::engine {
 
 /// The frozen dendrogram of one shard at one epoch (see the header
-/// comment). Immutable after build(); every method is const and
+/// comment). Immutable after build() (the lazy CSR only caches what
+/// the arrays already determine); every method is const and
 /// thread-safe. The engine shares untouched shards' snapshots across
 /// epochs by pointer — pointer identity IS the cleanliness test the
-/// refresh and label-patch machinery rely on.
+/// view refresh relies on.
 class DendrogramSnapshot {
  public:
   /// Sentinel slot: "no node" (singleton vertex / no parent).
@@ -90,34 +101,41 @@ class DendrogramSnapshot {
   /// O(log |nodes|), no bins or labels materialized.
   uint64_t num_clusters(double tau) const;
 
-  /// Append the members of slot `top`'s cluster to `out`. O(|cluster|).
+  /// Append the members of slot `top`'s cluster to `out`. O(|cluster|)
+  /// once the CSR exists; the first call on a snapshot builds it,
+  /// O(n + |nodes|). Cluster reports are its only callers.
   void members_of(int32_t top, std::vector<vertex_id>& out) const;
 
   /// §6.1 cluster report. O(log h + |cluster|).
   std::vector<vertex_id> cluster_report(vertex_id u, double tau) const;
 
-  /// One shard's flat-label block at threshold tau: canonical labels
-  /// over the local vertex range plus the shard's cluster-size
-  /// histogram (singletons included). The label of a cluster is the
-  /// `u` endpoint of its top node — a member vertex, and a pure
-  /// function of (snapshot, tau), so two passes over the same snapshot
-  /// agree bit-for-bit. This determinism is what lets the view plane
-  /// patch label arrays across epochs instead of rebuilding them
-  /// (cluster_view.hpp).
-  struct FlatLabels {
-    std::vector<vertex_id> label;  // local index -> global canonical label
-    std::vector<std::pair<uint64_t, uint64_t>> hist;  // size -> clusters, asc
+  /// A caller-chosen label for the cluster topped by slot `top` (the
+  /// cross-shard merge relabels a blob to its group's label).
+  struct LabelOverride {
+    int32_t top;
+    vertex_id label;
   };
+  /// Cluster-size histogram: size -> clusters, ascending.
+  using Histogram = std::vector<std::pair<uint64_t, uint64_t>>;
 
-  /// Build the shard's flat-label block in one linear sweep: a
-  /// descending slot pass resolves every node's top cluster node (the
-  /// parent slot is always larger), then a vertex pass reads labels off
-  /// e*_v. O(n + |nodes|) — no per-vertex ancestor search.
-  FlatLabels flat_labels(double tau) const;
+  /// One shard's flat-label block at threshold tau, written into
+  /// `label` (local index -> global label, size num_vertices()), and
+  /// the shard's cluster-size histogram (singletons included). The
+  /// label of a cluster is the `u` endpoint of its top node — a member
+  /// vertex, and a pure function of (snapshot, tau), so two passes over
+  /// the same snapshot agree bit-for-bit — unless `overrides` names its
+  /// top slot. One linear sweep: a descending slot pass carries each
+  /// active node's final label down from its parent (the parent slot is
+  /// always larger), then a vertex pass reads the label off e*_v with
+  /// one lookup. O(n + |nodes| + |overrides| log |overrides|) — no
+  /// per-vertex ancestor search, no member lists.
+  Histogram flat_labels(double tau, std::span<vertex_id> label,
+                        std::span<const LabelOverride> overrides = {}) const;
 
   /// §6.1 flat clustering over the local vertex range; label[i] is a
   /// member vertex (global id) of local vertex i's cluster — the
-  /// canonical label of flat_labels(). O(n + |nodes|).
+  /// canonical label of flat_labels() without overrides.
+  /// O(n + |nodes|).
   std::vector<vertex_id> flat_clustering(double tau) const;
 
   /// Unite every tree edge of weight <= tau into the caller's
@@ -140,17 +158,21 @@ class DendrogramSnapshot {
   friend class ShardContraction;
   DendrogramSnapshot() = default;
 
-  /// Derive child CSR, leaf CSR and subtree counts from parent_ and
-  /// leaf_parent_ (already filled). Shared by the fresh build, the
-  /// incremental patch and the checkpoint decoder, so derived arrays
-  /// are bit-identical across the three by construction.
-  void derive_csr_and_counts();
+  /// Derive subtree counts from parent_ and leaf_parent_ (already
+  /// filled): leaves per slot, then one ascending pass over parent_.
+  /// Shared by the fresh build, the incremental patch and the
+  /// checkpoint decoder, so counts are bit-identical across the three
+  /// by construction.
+  void derive_counts();
 
   /// Derive jump_ from parent_ in one descending slot pass (parents
   /// sit at larger slots), using `depth` as scratch. Shared by the
-  /// fresh build and the incremental patch so the jump array is
-  /// bit-identical between the two paths by construction.
+  /// same three paths as derive_counts(), for the same reason.
   void derive_jumps(std::vector<uint32_t>& depth);
+
+  /// Build the child and leaf CSR from parent_ and leaf_parent_. Runs
+  /// once per snapshot, under csr_once_, from members_of().
+  void derive_csr() const;
 
   vertex_id n_ = 0;
   vertex_id base_ = 0;
@@ -158,11 +180,13 @@ class DendrogramSnapshot {
   std::vector<vertex_id> u_, v_;
   std::vector<double> weight_;
   std::vector<int32_t> parent_;
-  std::vector<uint64_t> count_;  // vertices in the slot's cluster
+  std::vector<uint32_t> count_;  // vertices in the slot's cluster (<= n_)
   std::vector<int32_t> leaf_parent_;  // per vertex: slot of e*_v or kNoSlot
-  std::vector<uint32_t> child_off_, child_list_;
-  std::vector<uint32_t> leaf_off_, leaf_list_;
   std::vector<int32_t> jump_;  // skew-binary ancestor; a root jumps to itself
+  // Cluster-report CSR, built on first use (see derive_csr()).
+  mutable std::once_flag csr_once_;
+  mutable std::vector<uint32_t> child_off_, child_list_;
+  mutable std::vector<uint32_t> leaf_off_, leaf_list_;
 };
 
 }  // namespace dynsld::engine

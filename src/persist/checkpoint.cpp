@@ -21,7 +21,10 @@ constexpr char kMagic[8] = {'D', 'S', 'L', 'D', 'C', 'K', 'P', '1'};
 // v3: each shard encodes one jump-pointer array in place of the
 //     binary-lifting table (levels + level-major rows), and the
 //     per-shard patch records drop their lifting-round counts.
-constexpr uint32_t kVersion = 3;
+// v4: each shard encodes only its primary arrays (no counts, CSR or
+//     jumps; decode re-derives them), and the delta drops
+//     verts_rebuilt.
+constexpr uint32_t kVersion = 4;
 
 }  // namespace
 
@@ -35,13 +38,7 @@ void SnapshotCodec::encode_shard(const engine::DendrogramSnapshot& d,
   out.pod_vec(d.v_);
   out.pod_vec(d.weight_);
   out.pod_vec(d.parent_);
-  out.pod_vec(d.count_);
   out.pod_vec(d.leaf_parent_);
-  out.pod_vec(d.child_off_);
-  out.pod_vec(d.child_list_);
-  out.pod_vec(d.leaf_off_);
-  out.pod_vec(d.leaf_list_);
-  out.pod_vec(d.jump_);
 }
 
 void SnapshotCodec::encode(const engine::EngineSnapshot& snap,
@@ -60,7 +57,6 @@ void SnapshotCodec::encode(const engine::EngineSnapshot& snap,
   out.u32(dl.cross_inserted);
   out.u32(dl.cross_erased);
   out.f64(dl.cross_min_w);
-  out.u64(dl.verts_rebuilt);
   // Serialize ShardPatch field-wise so the file bytes stay a pure
   // function of the state, not of the struct layout.
   out.u64(dl.shard_patch.size());
@@ -114,16 +110,10 @@ engine::EpochManager::Snap SnapshotCodec::decode(
     d->v_ = in.pod_vec<vertex_id>();
     d->weight_ = in.pod_vec<double>();
     d->parent_ = in.pod_vec<int32_t>();
-    const auto count = in.pod_vec<uint64_t>();
     d->leaf_parent_ = in.pod_vec<int32_t>();
-    const auto child_off = in.pod_vec<uint32_t>();
-    const auto child_list = in.pod_vec<uint32_t>();
-    const auto leaf_off = in.pod_vec<uint32_t>();
-    const auto leaf_list = in.pod_vec<uint32_t>();
-    const auto jump = in.pod_vec<int32_t>();
     // Queries follow every index unchecked. Validate the primary
-    // arrays, then re-derive the rest through the build's own helpers
-    // and accept only stored copies equal to them.
+    // arrays, then derive counts and jumps through the build's own
+    // helpers (the cluster-report CSR builds lazily on first use).
     const size_t m = d->parent_.size();
     const vertex_id n = d->n_, base = d->base_;
     if (!in.ok() || n != map.local_size(k) || base != map.base(k) ||
@@ -141,13 +131,9 @@ engine::EpochManager::Snap SnapshotCodec::decode(
     for (const int32_t lp : d->leaf_parent_)
       if (lp != kNoSlot && (lp < 0 || static_cast<size_t>(lp) >= m))
         return nullptr;
-    d->derive_csr_and_counts();
+    d->derive_counts();
     std::vector<uint32_t> depth;
     d->derive_jumps(depth);
-    if (d->count_ != count || d->child_off_ != child_off ||
-        d->child_list_ != child_list || d->leaf_off_ != leaf_off ||
-        d->leaf_list_ != leaf_list || d->jump_ != jump)
-      return nullptr;
     snap->shards_.push_back(std::move(d));
   }
   auto cross = in.pod_vec<engine::CrossEdgeView::Edge>();
@@ -161,7 +147,6 @@ engine::EpochManager::Snap SnapshotCodec::decode(
   dl.cross_inserted = in.u32();
   dl.cross_erased = in.u32();
   dl.cross_min_w = in.f64();
-  dl.verts_rebuilt = in.u64();
   uint64_t n_patch = in.u64();
   if (n_patch > in.remaining() / 2) return nullptr;  // 2 B encoded each
   dl.shard_patch.reserve(static_cast<size_t>(n_patch));

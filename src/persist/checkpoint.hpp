@@ -12,10 +12,14 @@
 //     not a frozen replica. Ticket order is insertion order, which
 //     keeps the endpoint ledger's "erase the most recent copy"
 //     resolution identical after recovery;
-//   - the FROZEN SNAPSHOT (per-shard rank-sorted CSR DendrogramSnapshot
-//     arrays + cross-edge table + epoch/delta/trace metadata), encoded
-//     by SnapshotCodec: byte-exact rehydration for AsOf{epoch} queries
-//     at the checkpoint epoch, no replay required.
+//   - the FROZEN SNAPSHOT (per-shard rank-sorted DendrogramSnapshot
+//     primary arrays + cross-edge table + epoch/delta/trace metadata),
+//     encoded by SnapshotCodec: byte-exact rehydration for AsOf{epoch}
+//     queries at the checkpoint epoch, no replay required. Per shard
+//     the codec stores n, base, u, v, weight, parent and leaf_parent
+//     only; decode validates them and re-derives subtree counts and
+//     jump pointers through the build's own helpers (the cluster-report
+//     CSR builds lazily, as in a live snapshot).
 //
 //   checkpoint file  ckpt-<epoch>.bin
 //     header   "DSLDCKP1" (8 B magic)  u32 version

@@ -33,36 +33,44 @@ using test::ref_cluster_size;
 using test::ref_histogram;
 using test::reference_labels;
 
+/// The larger forest has clusters of 64+ vertices, which the flat-label
+/// histogram counts apart from the small sizes.
 TEST(DendrogramSnapshot, MatchesLiveQueriesOnRandomForest) {
-  const vertex_id n = 60;
-  par::Rng rng(7);
-  DynamicClustering dc(n);
-  std::vector<uint32_t> handles;
-  for (int i = 0; i < 150; ++i) {
-    vertex_id u = rng.next_bounded(n), v;
-    do {
-      v = rng.next_bounded(n);
-    } while (v == u);
-    handles.push_back(dc.insert_edge(u, v, rng.next_double()));
-    if (i % 5 == 0 && !handles.empty()) {
-      uint32_t h = handles[rng.next_bounded(handles.size())];
-      if (dc.edge_alive(h)) dc.erase_edge(h);
+  for (const vertex_id n : {60u, 300u}) {
+    par::Rng rng(7);
+    DynamicClustering dc(n);
+    std::vector<uint32_t> handles;
+    for (vertex_id i = 0; i < 5 * n / 2; ++i) {
+      vertex_id u = rng.next_bounded(n), v;
+      do {
+        v = rng.next_bounded(n);
+      } while (v == u);
+      handles.push_back(dc.insert_edge(u, v, rng.next_double()));
+      if (i % 5 == 0 && !handles.empty()) {
+        uint32_t h = handles[rng.next_bounded(handles.size())];
+        if (dc.edge_alive(h)) dc.erase_edge(h);
+      }
     }
-  }
-  auto snap = DendrogramSnapshot::build(dc.sld());
-  for (double tau : {0.0, 0.05, 0.2, 0.4, 0.6, 0.85, 1.0}) {
-    auto live = dc.sld().flat_clustering(tau);
-    auto frozen = snap->flat_clustering(tau);
-    expect_same_partition(live, frozen);
-    for (vertex_id u = 0; u < n; ++u) {
-      EXPECT_EQ(snap->cluster_size(u, tau), dc.sld().cluster_size(u, tau))
-          << "u=" << u << " tau=" << tau;
-      auto rep = snap->cluster_report(u, tau);
-      EXPECT_EQ(rep.size(), snap->cluster_size(u, tau));
-    }
-    for (int q = 0; q < 200; ++q) {
-      vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-      EXPECT_EQ(snap->same_cluster(s, t, tau), dc.sld().same_cluster(s, t, tau));
+    auto snap = DendrogramSnapshot::build(dc.sld());
+    for (double tau : {0.0, 0.05, 0.2, 0.4, 0.6, 0.85, 1.0}) {
+      auto live = dc.sld().flat_clustering(tau);
+      auto frozen = snap->flat_clustering(tau);
+      expect_same_partition(live, frozen);
+      std::vector<vertex_id> label(n);
+      EXPECT_EQ(snap->flat_labels(tau, label), ref_histogram(live).bins)
+          << "n=" << n << " tau=" << tau;
+      EXPECT_EQ(label, frozen);
+      for (vertex_id u = 0; u < n; ++u) {
+        EXPECT_EQ(snap->cluster_size(u, tau), dc.sld().cluster_size(u, tau))
+            << "u=" << u << " tau=" << tau;
+        auto rep = snap->cluster_report(u, tau);
+        EXPECT_EQ(rep.size(), snap->cluster_size(u, tau));
+      }
+      for (int q = 0; q < 200; ++q) {
+        vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
+        EXPECT_EQ(snap->same_cluster(s, t, tau),
+                  dc.sld().same_cluster(s, t, tau));
+      }
     }
   }
 }
@@ -669,6 +677,90 @@ TEST(ThresholdView, EpochZeroAllSingletons) {
   ASSERT_EQ(h.bins.size(), 1u);
   EXPECT_EQ(h.bins[0], (std::pair<uint64_t, uint64_t>{1, n}));
   EXPECT_EQ(h.num_clusters(), n);
+}
+
+/// A cross-shard merge relabels the blob whose top's u endpoint is not
+/// the group minimum through a flat_labels() override of its top slot.
+/// Every shard-1 vertex id exceeds every shard-0 id, so shard 1's
+/// multi-node cluster must take shard 0's label; shard 1's root node,
+/// above tau, must not carry it onto the singleton it joins.
+TEST(ThresholdView, CrossBlobTakesGroupMinimumLabel) {
+  const double tau = 0.5;
+  ServiceConfig cfg;
+  cfg.num_vertices = 10;  // 2 shards, stride 5
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  svc.insert(0, 1, 0.1);
+  svc.insert(1, 2, 0.2);
+  svc.insert(5, 6, 0.1);
+  svc.insert(6, 7, 0.2);
+  svc.insert(7, 8, 0.15);
+  svc.insert(8, 9, 0.9);  // above tau: 9 stays a singleton
+  svc.insert(2, 6, 0.3);  // the one sub-tau cross edge
+  svc.flush();
+  auto snap = svc.snapshot();
+  const DendrogramSnapshot& s0 = snap->shard(0);
+  const vertex_id group_label = s0.slot_u(s0.top_of(0, tau));
+  ASSERT_LT(group_label, 5u);
+
+  auto tv = std::make_shared<const ThresholdView>(snap, tau);
+  const std::vector<vertex_id>& flat = tv->flat_clustering();
+  for (vertex_id v : {0u, 1u, 2u, 5u, 6u, 7u, 8u})
+    EXPECT_EQ(flat[v], group_label) << "vertex " << v;
+  for (vertex_id v : {3u, 4u, 9u}) EXPECT_EQ(flat[v], v) << "vertex " << v;
+  const SizeHistogram& h = tv->size_histogram();
+  EXPECT_EQ(h.bins, (std::vector<std::pair<uint64_t, uint64_t>>{{1, 3},
+                                                                 {7, 1}}));
+}
+
+/// The cluster-report CSR builds lazily on the first members_of()
+/// call. Four threads report every vertex of one freshly published
+/// snapshot at once, so they race that first build in both shards;
+/// each must get exactly what a single-threaded report on an identical
+/// twin service gets.
+TEST(ThresholdView, FirstClusterReportRacesCsrBuild) {
+  const vertex_id n = 2000;
+  const double tau = 0.3;
+  ServiceConfig cfg;
+  cfg.num_vertices = n;
+  cfg.num_shards = 2;
+  SldService svc(cfg), twin(cfg);
+  par::Rng rng(91);
+  for (int i = 0; i < 3000; ++i) {
+    auto [u, v] = test::random_distinct_pair(rng, n);
+    const double w = rng.next_double();
+    svc.insert(u, v, w);
+    twin.insert(u, v, w);
+  }
+  svc.flush();
+  twin.flush();
+
+  ThresholdView ref(twin.snapshot(), tau);
+  std::vector<std::vector<vertex_id>> want(n);
+  for (vertex_id v = 0; v < n; ++v) want[v] = ref.cluster_report(v);
+
+  ThresholdView tv(svc.snapshot(), tau);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<vertex_id>>> got(
+      kThreads, std::vector<std::vector<vertex_id>>(n));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Staggered starts: threads 0 and 1 open in shard 0, 2 and 3 in
+      // shard 1.
+      for (vertex_id i = 0; i < n; ++i) {
+        const vertex_id v = (i + t * (n / kThreads)) % n;
+        got[t][v] = tv.cluster_report(v);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (vertex_id v = 0; v < n; ++v)
+      ASSERT_EQ(got[t][v], want[v]) << "thread " << t << " vertex " << v;
 }
 
 /// Erase-by-endpoints: the queue's (u, v) ledger resolves tickets for

@@ -508,11 +508,12 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   EXPECT_EQ(persist::SnapshotCodec::decode(half, nullptr, nullptr), nullptr);
 }
 
-/// Version 3 changed the shard encoding (one jump-pointer array in
-/// place of the lifting table), so a version-2 file must be refused at
-/// the header, not decoded as version 3. The stamped file is otherwise
-/// well-formed: the CRC covers only the payload and stays valid.
-TEST(Checkpoint, ReadRejectsVersion2File) {
+/// Version 4 changed the shard encoding (primary arrays only; counts
+/// and jumps are derived on decode), so a version-3 file must be
+/// refused at the header, not decoded as version 4. The stamped file
+/// is otherwise well-formed: the CRC covers only the payload and stays
+/// valid.
+TEST(Checkpoint, ReadRejectsVersion3File) {
   TempDir dir;
   ServiceConfig cfg;
   cfg.num_vertices = 16;
@@ -534,23 +535,24 @@ TEST(Checkpoint, ReadRejectsVersion2File) {
 
   constexpr size_t kVersionAt = 8;  // after the 8-byte magic
   persist::ByteReader ver(bytes.data() + kVersionAt, 4);
-  ASSERT_EQ(ver.u32(), 3u);
+  ASSERT_EQ(ver.u32(), 4u);
   persist::ByteWriter stamp;
-  stamp.u32(2);
+  stamp.u32(3);
   bytes.replace(kVersionAt, 4, stamp.bytes());
   EXPECT_FALSE(persist::CheckpointWriter::read(bytes, &data));
 }
 
 /// Queries follow the decoded arrays unchecked, so decode refuses any
 /// index they could not follow safely: a parent slot far past the node
-/// table, a child-list entry the parent array does not derive, and a
-/// jump one past the table or below its own slot (not an ancestor).
+/// table, a leaf hook far past it, and a node endpoint outside the
+/// shard's vertex range.
 TEST(Checkpoint, DecodeRejectsIndexOutsideItsTable) {
+  const vertex_id n = 16;
   ServiceConfig cfg;
-  cfg.num_vertices = 16;
+  cfg.num_vertices = n;
   cfg.num_shards = 1;
   SldService svc(cfg);
-  for (vertex_id v = 0; v + 1 < 16; ++v)
+  for (vertex_id v = 0; v + 1 < n; ++v)
     svc.insert(v, v + 1, unique_weight(v));
   svc.flush();
   auto snap = svc.snapshot();
@@ -559,28 +561,24 @@ TEST(Checkpoint, DecodeRejectsIndexOutsideItsTable) {
   persist::SnapshotCodec::encode_shard(snap->shard(0), shard);
   const size_t at = full.bytes().find(shard.bytes());
   ASSERT_NE(at, std::string::npos);
-  const size_t m = snap->shard(0).num_nodes();
-  ASSERT_GE(m, 2u);
+  ASSERT_GE(snap->shard(0).num_nodes(), 2u);
   // Walk encode_shard's layout (u32 n, u32 base, then u64-counted
-  // arrays) to the first entry of parent_ and of child_list_. The
-  // unit ends with the jump array, whose last entry is the root's: it
-  // jumps to itself (slot m - 1).
+  // arrays) to the first entry of u_, parent_ and leaf_parent_. The
+  // unit ends with leaf_parent_.
   persist::ByteReader r(shard.bytes().data(), shard.bytes().size());
   auto entry_at = [&] { return shard.bytes().size() - r.remaining() + 8; };
   r.u32();
   r.u32();
+  const size_t u_at = entry_at();
   r.pod_vec<vertex_id>();  // u_
   r.pod_vec<vertex_id>();  // v_
   r.pod_vec<double>();     // weight_
   const size_t parent_at = entry_at();
   r.pod_vec<int32_t>();    // parent_
-  r.pod_vec<uint64_t>();   // count_
-  r.pod_vec<int32_t>();    // leaf_parent_
-  r.pod_vec<uint32_t>();   // child_off_
-  const size_t child_list_at = entry_at();
-  ASSERT_GE(r.pod_vec<uint32_t>().size(), 1u);  // child_list_
+  const size_t leaf_parent_at = entry_at();
+  ASSERT_EQ(r.pod_vec<int32_t>().size(), n);  // leaf_parent_
   ASSERT_TRUE(r.ok());
-  const size_t root_jump_at = shard.bytes().size() - 4;
+  ASSERT_EQ(r.remaining(), 0u);
 
   auto decodes_with = [&](size_t entry, uint32_t value) {
     persist::ByteWriter w;
@@ -593,10 +591,8 @@ TEST(Checkpoint, DecodeRejectsIndexOutsideItsTable) {
   persist::ByteReader whole(full.bytes().data(), full.bytes().size());
   EXPECT_NE(persist::SnapshotCodec::decode(whole, nullptr, nullptr), nullptr);
   EXPECT_FALSE(decodes_with(parent_at, 1u << 28)) << "parent_[0]";
-  EXPECT_FALSE(decodes_with(child_list_at, 1u << 28)) << "child_list_[0]";
-  for (size_t bad : {m, m - 2})
-    EXPECT_FALSE(decodes_with(root_jump_at, static_cast<uint32_t>(bad)))
-        << "jump " << bad;
+  EXPECT_FALSE(decodes_with(leaf_parent_at, 1u << 28)) << "leaf_parent_[0]";
+  EXPECT_FALSE(decodes_with(u_at, n)) << "u_[0]";
 }
 
 // ---- service wiring ---------------------------------------------------
