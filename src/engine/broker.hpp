@@ -18,8 +18,8 @@
 //                                       group the rest by (epoch, tau)
 //                                       — ACROSS clients —
 //                                       one ThresholdView per group
-//                                       (standing cache, refreshed
-//                                        incrementally per epoch)
+//                                       (standing cache, carried
+//                                        forward per epoch)
 //                                       execute groups in parallel
 //                                       fulfill the futures
 //
@@ -38,8 +38,8 @@
 // resolution no matter how many clients asked (test_broker pins it
 // through views_built/broker_groups). The view cache is carried across
 // epochs through ThresholdView::refreshed, so steady-state traffic at
-// stable taus pays the *incremental* refresh cost per epoch, not a
-// full resolve.
+// stable taus pays at most one resolve per epoch and tau, and none when
+// the epoch left the view's cross prefix and blob-hosting shards alone.
 // Latest, Pinned{snap} and AsOf{epoch} all route through this one
 // executor; there is no second read path.
 //

@@ -10,86 +10,44 @@
 
 namespace dynsld::engine {
 
-int64_t ThresholdView::slot_key(int32_t top, vertex_id vtx) {
-  // Clustered blobs key on the (non-negative) top slot; singleton blobs
-  // key on the vertex, folded into the negative range so the two spaces
-  // never collide within a shard.
-  if (top == DendrogramSnapshot::kNoSlot) return -1 - static_cast<int64_t>(vtx);
-  return top;
+int64_t ThresholdView::blob_key(int shard, int32_t top, vertex_id x) {
+  // Clustered blobs key on (shard, top slot), non-negative; singleton
+  // blobs key on the vertex, folded into the negative range so the two
+  // spaces never collide.
+  if (top == DendrogramSnapshot::kNoSlot) return -1 - static_cast<int64_t>(x);
+  return static_cast<int64_t>(shard) << 32 | static_cast<uint32_t>(top);
 }
 
 std::shared_ptr<const ThresholdView::Resolution> ThresholdView::resolve(
-    const EngineSnapshot& es, double tau, const Resolution* prev,
-    const std::vector<char>* shard_clean) {
+    const EngineSnapshot& es, double tau) {
   const auto& cross = es.cross().edges();  // weight-ascending
   const size_t m = es.cross().sub_tau_prefix(tau);
   if (m == 0) return nullptr;  // trivial mode: every cluster is one shard blob
 
   auto res = std::make_shared<Resolution>();
   const ShardMap& map = es.shard_map();
-  const int K = map.num_shards;
+  res->shard_hosts.assign(map.num_shards, 0);
+  res->blob_of.reserve(2 * m);
 
-  // Clean shards share their ShardBlobs from prev by pointer (frozen:
-  // lookups only, guaranteed to hit because the sub-tau prefix — hence
-  // the endpoint multiset — is unchanged on this path); rebuilt shards
-  // get fresh blocks and re-intern.
-  std::vector<std::shared_ptr<ShardBlobs>> fresh(K);
-  res->shard.resize(K);
-  for (int k = 0; k < K; ++k) {
-    if (prev && shard_clean && (*shard_clean)[k]) {
-      res->shard[k] = prev->shard[k];
-    } else {
-      fresh[k] = std::make_shared<ShardBlobs>();
-      res->shard[k] = fresh[k];
+  // Blob ids are dense in first-seen order, so 2m bounds them and the
+  // union-find can run while the endpoints intern.
+  auto intern = [&](vertex_id x) -> uint32_t {
+    const int k = map.home(x);
+    const int32_t top = es.shard(k).top_of(x, tau);
+    auto [it, fresh] = res->blob_of.try_emplace(
+        blob_key(k, top, x), static_cast<uint32_t>(res->blobs.size()));
+    if (fresh) {
+      res->blobs.push_back(Blob{k, top, x});
+      res->shard_hosts[k] = 1;
     }
-  }
-
-  struct Occ {
-    int32_t shard;
-    uint32_t local;
+    return it->second;
   };
-  auto intern = [&](vertex_id x) -> Occ {
-    int k = map.home(x);
-    if (!fresh[k]) {  // frozen clean shard
-      const ShardBlobs& sb = *res->shard[k];
-      int32_t top = sb.endpoint_top.at(x);
-      return {k, sb.blob_of.at(slot_key(top, x))};
-    }
-    ShardBlobs& sb = *fresh[k];
-    auto [et, fresh_ep] =
-        sb.endpoint_top.try_emplace(x, DendrogramSnapshot::kNoSlot);
-    if (fresh_ep) et->second = es.shard(k).top_of(x, tau);
-    auto [bt, fresh_blob] =
-        sb.blob_of.try_emplace(slot_key(et->second, x),
-                               static_cast<uint32_t>(sb.local.size()));
-    if (fresh_blob)
-      sb.local.push_back(Blob{static_cast<int32_t>(k), et->second, x});
-    return {k, bt->second};
-  };
-
-  std::vector<Occ> occ;
-  occ.reserve(2 * m);
+  UnionFind uf(2 * m);
   for (size_t i = 0; i < m; ++i) {
-    occ.push_back(intern(cross[i].u));
-    occ.push_back(intern(cross[i].v));
+    const uint32_t a = intern(cross[i].u);
+    uf.unite(a, intern(cross[i].v));
   }
-
-  // Dense global blob ids: per-shard prefix offsets over the (possibly
-  // shared) local blob lists.
-  res->blob_base.assign(K + 1, 0);
-  for (int k = 0; k < K; ++k)
-    res->blob_base[k + 1] =
-        res->blob_base[k] + static_cast<uint32_t>(res->shard[k]->local.size());
-  const uint32_t num_blobs = res->blob_base[K];
-  res->blobs.reserve(num_blobs);
-  for (int k = 0; k < K; ++k)
-    res->blobs.insert(res->blobs.end(), res->shard[k]->local.begin(),
-                      res->shard[k]->local.end());
-
-  UnionFind uf(num_blobs);
-  for (size_t i = 0; i < occ.size(); i += 2)
-    uf.unite(res->blob_base[occ[i].shard] + occ[i].local,
-             res->blob_base[occ[i + 1].shard] + occ[i + 1].local);
+  const uint32_t num_blobs = static_cast<uint32_t>(res->blobs.size());
 
   // Flatten into dense immutable groups (queries must be pure reads).
   res->blob_group.assign(num_blobs, -1);
@@ -125,7 +83,7 @@ ThresholdView::ThresholdView(EpochManager::Snap snap, double tau)
     : snap_(std::move(snap)), tau_(tau) {
   const auto& stats = snap_->stats();
   if (stats) stats->views_built.fetch_add(1, std::memory_order_relaxed);
-  res_ = resolve(*snap_, tau_, nullptr, nullptr);
+  res_ = resolve(*snap_, tau_);
   if (res_ && stats)
     stats->cross_uf_builds.fetch_add(1, std::memory_order_relaxed);
 }
@@ -142,89 +100,41 @@ std::shared_ptr<const ThresholdView> ThresholdView::refreshed(
   const EngineSnapshot& es = *snap;
   const EngineSnapshot& pes = *prev->snap_;
   const double tau = prev->tau_;
-  const auto& stats = es.stats();
-  const ShardMap& map = es.shard_map();
-  assert(map.num_shards == pes.shard_map().num_shards &&
-         map.n == pes.shard_map().n);
+  assert(es.shard_map().num_shards == pes.shard_map().num_shards &&
+         es.shard_map().n == pes.shard_map().n);
 
-  // Shard cleanliness is pointer identity: an epoch reuses untouched
-  // shards' DendrogramSnapshots by pointer, so this holds across any
-  // number of skipped epochs with no delta chaining.
-  std::vector<char> clean(map.num_shards, 0);
-  int num_dirty = 0;
-  for (int k = 0; k < map.num_shards; ++k) {
-    clean[k] = &es.shard(k) == &pes.shard(k);
-    num_dirty += !clean[k];
-  }
-
-  // The resolution reads only the sub-tau cross prefix: unchanged when
-  // the table is pointer-identical, or when a single-step delta proves
+  // The resolution reads the sub-tau cross prefix: unchanged when the
+  // table is pointer-identical, or when a single-step delta proves
   // every changed cross edge sits above this threshold.
-  bool prefix_same = &es.cross() == &pes.cross();
-  if (!prefix_same && es.delta().base_epoch == pes.epoch() &&
-      es.delta().cross_min_w > tau)
-    prefix_same = true;
+  const bool prefix_same =
+      &es.cross() == &pes.cross() ||
+      (es.delta().base_epoch == pes.epoch() && es.delta().cross_min_w > tau);
+  // It also reads the tops and slot counts of the shards hosting its
+  // blobs. An epoch reuses untouched shards' DendrogramSnapshots by
+  // pointer, so identity proves a shard clean across any number of
+  // skipped epochs.
+  bool reuse = prefix_same;
+  for (int k = 0; reuse && prev->res_ && k < es.shard_map().num_shards; ++k)
+    reuse = !prev->res_->shard_hosts[k] || &es.shard(k) == &pes.shard(k);
 
-  if (!prefix_same) {
-    if (stats) {
-      stats->refresh_views_full.fetch_add(1, std::memory_order_relaxed);
-      stats->refresh_shards_rebuilt.fetch_add(map.num_shards,
-                                              std::memory_order_relaxed);
-    }
-    return std::make_shared<const ThresholdView>(std::move(snap), tau);
-  }
-
-  if (stats) {
-    stats->refresh_shards_reused.fetch_add(map.num_shards - num_dirty,
-                                           std::memory_order_relaxed);
-    stats->refresh_shards_rebuilt.fetch_add(num_dirty,
-                                            std::memory_order_relaxed);
-  }
-
-  // Does the resolution read any rebuilt shard? Endpoint tops and blob
-  // slot counts are per home shard of the cross endpoints, so a rebuild
-  // of a shard no sub-tau cross edge touches cannot affect it.
-  bool touches_dirty = false;
-  if (num_dirty && prev->res_) {
-    for (int k = 0; k < map.num_shards; ++k) {
-      if (!clean[k] && !prev->res_->shard[k]->local.empty()) {
-        touches_dirty = true;
-        break;
-      }
-    }
-  }
-  if (!touches_dirty) {
-    if (stats)
-      stats->refresh_views_reused.fetch_add(1, std::memory_order_relaxed);
+  if (const auto& stats = es.stats())
+    (reuse         ? stats->refresh_views_reused
+     : prefix_same ? stats->refresh_views_incremental
+                   : stats->refresh_views_full)
+        .fetch_add(1, std::memory_order_relaxed);
+  if (reuse)
     return std::shared_ptr<const ThresholdView>(
         new ThresholdView(std::move(snap), tau, prev->res_));
-  }
-
-  if (stats) {
-    stats->refresh_views_incremental.fetch_add(1, std::memory_order_relaxed);
-    stats->cross_uf_incremental.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::shared_ptr<const ThresholdView>(new ThresholdView(
-      std::move(snap), tau, resolve(es, tau, prev->res_.get(), &clean)));
+  return std::make_shared<const ThresholdView>(std::move(snap), tau);
 }
 
 int32_t ThresholdView::resolve_vertex(vertex_id x, int& shard,
                                       int32_t& top) const {
-  const EngineSnapshot& es = *snap_;
-  shard = es.shard_map().home(x);
-  if (!res_) {
-    top = es.shard(shard).top_of(x, tau_);
-    return -1;
-  }
-  const ShardBlobs& sb = *res_->shard[shard];
-  // Cross endpoints carry their top in the shard's cache (valid for
-  // this epoch: clean-shard entries are pointer-stable).
-  auto et = sb.endpoint_top.find(x);
-  top = et != sb.endpoint_top.end() ? et->second
-                                    : es.shard(shard).top_of(x, tau_);
-  auto bt = sb.blob_of.find(slot_key(top, x));
-  if (bt == sb.blob_of.end()) return -1;
-  return res_->blob_group[res_->blob_base[shard] + bt->second];
+  shard = snap_->shard_map().home(x);
+  top = snap_->shard(shard).top_of(x, tau_);
+  if (!res_) return -1;
+  auto it = res_->blob_of.find(blob_key(shard, top, x));
+  return it == res_->blob_of.end() ? -1 : res_->blob_group[it->second];
 }
 
 bool ThresholdView::same_cluster(vertex_id s, vertex_id t) const {
@@ -288,8 +198,7 @@ ThresholdView::LabelSet ThresholdView::build_labels() const {
   // singleton blob, the top node's u endpoint otherwise — the same
   // label flat_labels() assigns, so an un-merged blob needs no
   // override. A group's label is the min over its blobs' canons —
-  // order-independent, so an incremental and a from-scratch resolution
-  // agree on it bit-for-bit.
+  // order-independent, so it depends on no interning order.
   auto canon = [&](const Blob& b) -> vertex_id {
     return b.top == DendrogramSnapshot::kNoSlot
                ? b.vtx
@@ -309,24 +218,24 @@ ThresholdView::LabelSet ThresholdView::build_labels() const {
   // group label in as an override of its top slot, so the shard sweep
   // writes every member's final label. The per-shard histograms merge
   // into `acc`.
+  std::vector<std::vector<DendrogramSnapshot::LabelOverride>> overrides(
+      map.num_shards);
+  if (res) {
+    for (size_t i = 0; i < res->blobs.size(); ++i) {
+      const Blob& b = res->blobs[i];
+      const vertex_id gl = glabel[res->blob_group[i]];
+      if (b.top != DendrogramSnapshot::kNoSlot && canon(b) != gl)
+        overrides[b.shard].push_back({b.top, gl});
+    }
+  }
   ls.flat.resize(map.n);
   std::map<uint64_t, int64_t> acc;
-  std::vector<DendrogramSnapshot::LabelOverride> overrides;
   for (int k = 0; k < map.num_shards; ++k) {
-    overrides.clear();
-    if (res) {
-      for (uint32_t i = res->blob_base[k]; i < res->blob_base[k + 1]; ++i) {
-        const Blob& b = res->blobs[i];
-        const vertex_id gl = glabel[res->blob_group[i]];
-        if (b.top != DendrogramSnapshot::kNoSlot && canon(b) != gl)
-          overrides.push_back({b.top, gl});
-      }
-    }
     const DendrogramSnapshot& d = es.shard(k);
     const auto hist = d.flat_labels(
         tau_,
         std::span<vertex_id>(ls.flat.data() + map.base(k), d.num_vertices()),
-        overrides);
+        overrides[k]);
     for (const auto& [size, cnt] : hist) acc[size] += static_cast<int64_t>(cnt);
   }
 

@@ -30,23 +30,20 @@
 // tau share a single merge resolution instead of re-deriving it per
 // call.
 //
-// Incremental refresh (the broker's standing cache): the resolution is
-// a shareable immutable block, and ThresholdView::refreshed(prev, snap)
-// carries it across epochs proportionally to the published EpochDelta.
-// Per-shard snapshot reuse is pointer-identical, so cleanliness needs
-// no bookkeeping: a shard whose DendrogramSnapshot pointer is unchanged
-// gives identical top_of answers, and its cached endpoint tops are
-// reused verbatim. Three refresh grades:
+// Refresh (the broker's standing cache): the resolution is an
+// immutable block, and ThresholdView::refreshed(prev, snap) carries it
+// across epochs when nothing it read changed. It reads only the sub-tau
+// cross prefix and the shards hosting that prefix's blobs, and an epoch
+// reuses untouched shards' DendrogramSnapshots by pointer, so the test
+// needs no bookkeeping. Two refresh grades:
 //
-//   reused       sub-tau cross prefix unchanged, no resolved endpoint
-//                homed in a rebuilt shard -> share the resolution block
-//                wholesale (zero work);
-//   incremental  prefix unchanged, some endpoints dirty -> recompute
-//                tops only for endpoints in rebuilt shards (cache hits
-//                for the rest), re-run the cheap blob union-find;
-//   full         the sub-tau prefix itself changed (cross churn at or
-//                below tau) -> resolve from scratch, as the paper's
-//                locality argument no longer applies.
+//   reused   sub-tau cross prefix unchanged and no blob lives in a
+//            shard whose snapshot pointer changed -> share the
+//            resolution block wholesale (zero work);
+//   rebuilt  otherwise -> resolve from scratch. The stats count it as
+//            refresh_views_incremental when the prefix held (a hosting
+//            shard changed) and refresh_views_full when the prefix
+//            itself moved (cross churn at or below tau).
 //
 // Flat labels are canonical — a cluster's label is a pure function of
 // the shard snapshots and the resolution (DendrogramSnapshot::
@@ -81,8 +78,8 @@ class ThresholdView {
   ThresholdView(EpochManager::Snap snap, double tau);
 
   /// Refresh `prev` onto `snap` (same threshold, newer epoch): shares
-  /// or incrementally rebuilds the merge resolution depending on what
-  /// the epochs in between actually changed — see the header comment.
+  /// the merge resolution when the epochs in between left everything
+  /// it read untouched, else resolves afresh — see the header comment.
   /// Returns `prev` itself when the epoch did not advance. Thread-safe.
   static std::shared_ptr<const ThresholdView> refreshed(
       const std::shared_ptr<const ThresholdView>& prev,
@@ -136,45 +133,31 @@ class ThresholdView {
     vertex_id vtx;  // the singleton vertex (unused otherwise)
   };
 
-  /// One shard's share of the resolution: the tops of the cross
-  /// endpoints homed here and the interned blobs they induce. Immutable
-  /// and pointer-shared across refreshes — THE unit an incremental
-  /// refresh swaps: a clean shard's block is reused verbatim (zero hash
-  /// inserts, zero top_of calls); only rebuilt shards re-intern.
-  struct ShardBlobs {
-    std::unordered_map<vertex_id, int32_t> endpoint_top;  // endpoint -> top
-    std::unordered_map<int64_t, uint32_t> blob_of;  // slot_key -> local blob
-    std::vector<Blob> local;                        // this shard's blobs
-  };
-
   /// Everything the sub-tau cross prefix determines, as one immutable
-  /// shareable block: per-shard blob structures, dense global blob
-  /// table, and the flattened union-find groups. Null on a view in
-  /// trivial mode (no sub-tau cross edge). Global blob id =
-  /// blob_base[shard] + local index.
+  /// block a reused refresh shares: the blob table, which shards host
+  /// blobs, and the flattened union-find groups. Null on a view in
+  /// trivial mode (no sub-tau cross edge).
   struct Resolution {
-    std::vector<std::shared_ptr<const ShardBlobs>> shard;  // size K
-    std::vector<uint32_t> blob_base;                // size K+1, prefix sums
-    std::vector<Blob> blobs;                        // global, concatenated
+    std::unordered_map<int64_t, uint32_t> blob_of;  // blob_key -> blob id
+    std::vector<Blob> blobs;
+    std::vector<char> shard_hosts;  // per shard: does a blob live here?
     std::vector<int32_t> blob_group;
     std::vector<uint64_t> group_size;               // per group: vertices
     std::vector<uint32_t> group_off, group_blobs;   // CSR group -> blobs
   };
 
-  /// Adopt an already-built (shared or incrementally rebuilt)
-  /// resolution for a new epoch; used only by refreshed().
+  /// Adopt the previous view's resolution for a new epoch; used only
+  /// by refreshed().
   ThresholdView(EpochManager::Snap snap, double tau,
                 std::shared_ptr<const Resolution> res);
 
-  /// Build the resolution of `es` at tau. With `prev`/`shard_clean`,
-  /// clean shards' ShardBlobs are shared by pointer (lookups only, no
-  /// interning) and only rebuilt shards' endpoints pay O(log h) tops —
-  /// the incremental path; the blob union-find re-runs either way.
-  static std::shared_ptr<const Resolution> resolve(
-      const EngineSnapshot& es, double tau, const Resolution* prev,
-      const std::vector<char>* shard_clean);
+  /// Build the resolution of `es` at tau: O(log h) top per sub-tau
+  /// cross endpoint, then the blob union-find.
+  static std::shared_ptr<const Resolution> resolve(const EngineSnapshot& es,
+                                                   double tau);
 
-  static int64_t slot_key(int32_t top, vertex_id vtx);
+  /// Key of the blob of vertex x (homed in `shard`, top slot `top`).
+  static int64_t blob_key(int shard, int32_t top, vertex_id x);
 
   /// Group of vertex x's blob, or -1 when no sub-tau cross edge touches
   /// it (the blob then IS the cluster). Also yields shard and top slot.

@@ -109,7 +109,6 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
   // memcpy-grade and touch each page once); parent_ is sized up front
   // because step 6 fills it out of slot order.
   s.u_.reserve(m);
-  s.v_.reserve(m);
   s.weight_.reserve(m);
   s.parent_.resize(m);
 
@@ -177,7 +176,6 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
     const int32_t w = static_cast<int32_t>(new_ids.size());
     new_ids.push_back(e);
     s.u_.push_back(nd.u + base);
-    s.v_.push_back(nd.v + base);
     s.weight_.push_back(nd.weight);
     slot_of_[e] = w;
   };
@@ -198,7 +196,6 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::try_patch(
     const size_t w = new_ids.size();
     new_ids.insert(new_ids.end(), ids_.begin() + so, ids_.begin() + end);
     s.u_.insert(s.u_.end(), prev.u_.begin() + so, prev.u_.begin() + end);
-    s.v_.insert(s.v_.end(), prev.v_.begin() + so, prev.v_.begin() + end);
     s.weight_.insert(s.weight_.end(), prev.weight_.begin() + so,
                      prev.weight_.begin() + end);
     for (size_t t = 0; t < len; ++t) {

@@ -93,37 +93,21 @@ class CrossEdgeView {
 
 /// What changed between an epoch and the one it was built from,
 /// recorded by the router at flush time and published with the
-/// snapshot. The refresh machinery itself keys shard reuse off
-/// DendrogramSnapshot pointer identity (robust across skipped epochs)
-/// and consumes cross_min_w/base_epoch to gate full re-resolves; the
-/// rebuild flags and churn counts are the observable record of the
-/// flush's footprint (introspection, tests, external consumers).
+/// snapshot. View refresh keys shard reuse off DendrogramSnapshot
+/// pointer identity (robust across skipped epochs) and reads
+/// base_epoch/cross_min_w to prove a sub-tau cross prefix unchanged;
+/// the rebuild flags record which shards the flush touched.
 struct EpochDelta {
   /// The epoch this delta is relative to (the previously published
   /// snapshot; equals this snapshot's own epoch for the initial build).
   uint64_t base_epoch = 0;
   /// Per shard: was this shard's dendrogram snapshot rebuilt?
   std::vector<char> shard_rebuilt;
-  /// Per-shard materialization record for the shards this epoch rebuilt
-  /// (clean shards keep the zero record): whether the incremental
-  /// builder patched the previous arrays copy-on-write or rebuilt from
-  /// scratch. The patch-vs-rebuild gate is re-verified at
-  /// materialization; `fallback` records the re-check failing after the
-  /// journal pre-filter passed.
-  struct ShardPatch {
-    uint8_t mode = 0;      // 0 = rebuilt fresh, 1 = patched COW
-    uint8_t fallback = 0;  // exact viability re-check failed
-  };
-  std::vector<ShardPatch> shard_patch;
-  /// Cross-shard edge-table churn this flush.
-  uint32_t cross_inserted = 0;
-  uint32_t cross_erased = 0;
   /// Lightest weight among the changed cross edges: a view resolved at
   /// tau < cross_min_w reads the same sub-tau prefix before and after,
   /// so its cross merge is untouched even though the table changed.
   double cross_min_w = std::numeric_limits<double>::infinity();
 
-  bool cross_changed() const { return cross_inserted + cross_erased != 0; }
   int num_rebuilt() const {
     int k = 0;
     for (char c : shard_rebuilt) k += c != 0;
@@ -144,7 +128,7 @@ class EngineSnapshot {
   const DendrogramSnapshot& shard(int k) const { return *shards_[k]; }
   const CrossEdgeView& cross() const { return *cross_; }
   /// What this epoch changed relative to the one it was built from
-  /// (per-shard rebuild flags + cross-edge churn).
+  /// (per-shard rebuild flags + lightest changed cross weight).
   const EpochDelta& delta() const { return delta_; }
   /// Stage breakdown of the flush that built this epoch — what the
   /// epoch you are reading cost to produce (drain/apply/shard-rebuild/

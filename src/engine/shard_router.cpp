@@ -48,7 +48,6 @@ void ShardRouter::apply(const MutationQueue::Drained& batch) {
       cross_free_.push_back(l->id);
       --cross_alive_;
       cross_dirty_ = true;
-      ++delta_cross_del_;
       if (slot.w < delta_cross_min_w_) delta_cross_min_w_ = slot.w;
       if (stats_) stats_->cross_ops.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -77,7 +76,6 @@ void ShardRouter::apply(const MutationQueue::Drained& batch) {
       cross_[slot] = CrossSlot{op.u, op.v, op.w, true};
       ++cross_alive_;
       cross_dirty_ = true;
-      ++delta_cross_ins_;
       if (op.w < delta_cross_min_w_) delta_cross_min_w_ = op.w;
       record(op.ticket, Loc{Loc::kCross, -1, slot});
       if (stats_) stats_->cross_ops.fetch_add(1, std::memory_order_relaxed);
@@ -143,15 +141,11 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
     for (size_t k = 0; k < shards_.size(); ++k)
       snap->delta_.shard_rebuilt[k] = dirty_[k];
   }
-  snap->delta_.cross_inserted = delta_cross_ins_;
-  snap->delta_.cross_erased = delta_cross_del_;
   snap->delta_.cross_min_w = delta_cross_min_w_;
-  delta_cross_ins_ = delta_cross_del_ = 0;
   delta_cross_min_w_ = std::numeric_limits<double>::infinity();
 
   uint64_t built = 0, reused = 0;
   std::vector<ShardContraction::PatchStats> patch_stats(shards_.size());
-  snap->delta_.shard_patch.assign(shards_.size(), {});
   {
     // The stage span covers all rebuilds of the epoch; each rebuilt
     // shard additionally records its own build into flush.shard_build
@@ -186,12 +180,8 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
       ++reused;
     } else {
       ++built;
-      const ShardContraction::PatchStats& ps = patch_stats[k];
-      EpochDelta::ShardPatch& sp = snap->delta_.shard_patch[k];
-      sp.mode = ps.patched ? 1 : 0;
-      sp.fallback = ps.fallback ? 1 : 0;
-      if (ps.patched) ++patched;
-      if (ps.fallback) ++fallbacks;
+      patched += patch_stats[k].patched;
+      fallbacks += patch_stats[k].fallback;
     }
     dirty_[k] = 0;
   }

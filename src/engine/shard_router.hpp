@@ -108,10 +108,8 @@ class ShardRouter {
   std::vector<uint32_t> cross_free_;
   size_t cross_alive_ = 0;
   bool cross_dirty_ = false;
-  // Delta accumulators since the last build_snapshot: cross-edge churn
-  // and its lightest weight, published with the epoch for view refreshes.
-  uint32_t delta_cross_ins_ = 0;
-  uint32_t delta_cross_del_ = 0;
+  // Lightest changed cross-edge weight since the last build_snapshot,
+  // published with the epoch for view refreshes.
   double delta_cross_min_w_ = std::numeric_limits<double>::infinity();
   std::shared_ptr<const CrossEdgeView> cross_view_;
   std::vector<Loc> locs_;  // by ticket

@@ -11,7 +11,7 @@ SldService::SldService(const ServiceConfig& cfg)
       obs_(std::make_shared<EngineObs>()),
       stats_(EngineObs::stats_handle(obs_)),
       queue_(stats_.get()),
-      router_(cfg.num_vertices, cfg.num_shards, cfg.index, obs_,
+      router_(cfg.num_vertices, cfg.num_shards, SpineIndex::kLct, obs_,
               cfg.incremental_snapshots) {
   // Live gauges: point-in-time reads of the running service, cleared in
   // the destructor (the registry itself may outlive us via snapshots).

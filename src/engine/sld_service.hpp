@@ -67,7 +67,6 @@ namespace dynsld::engine {
 struct ServiceConfig {
   vertex_id num_vertices = 0;
   int num_shards = 1;
-  SpineIndex index = SpineIndex::kLct;
   /// Background writer flushes when this many ops are pending...
   size_t flush_threshold = 256;
   /// ...or this much time passed since the last flush, whichever first.

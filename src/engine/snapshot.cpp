@@ -9,11 +9,6 @@
 namespace dynsld::engine {
 
 std::shared_ptr<const DendrogramSnapshot> DendrogramSnapshot::build(
-    const DynSLD& sld, vertex_id base) {
-  return build(sld, base, nullptr);
-}
-
-std::shared_ptr<const DendrogramSnapshot> DendrogramSnapshot::build(
     const DynSLD& sld, vertex_id base, std::vector<edge_id>* ids_out) {
   auto snap = std::shared_ptr<DendrogramSnapshot>(new DendrogramSnapshot());
   DendrogramSnapshot& s = *snap;
@@ -34,13 +29,11 @@ std::shared_ptr<const DendrogramSnapshot> DendrogramSnapshot::build(
   for (size_t i = 0; i < m; ++i) slot_of[ids[i]] = static_cast<int32_t>(i);
 
   s.u_.resize(m);
-  s.v_.resize(m);
   s.weight_.resize(m);
   s.parent_.resize(m);
   for (size_t i = 0; i < m; ++i) {
     const Dendrogram::Node& nd = d.node(ids[i]);
     s.u_[i] = nd.u + base;
-    s.v_[i] = nd.v + base;
     s.weight_[i] = nd.weight;
     s.parent_[i] = nd.parent == kNoEdge ? kNoSlot : slot_of[nd.parent];
     assert(s.parent_[i] == kNoSlot || s.parent_[i] > static_cast<int32_t>(i));
@@ -260,13 +253,6 @@ std::vector<vertex_id> DendrogramSnapshot::flat_clustering(double tau) const {
   std::vector<vertex_id> label(n_);
   flat_labels(tau, label);
   return label;
-}
-
-void DendrogramSnapshot::threshold_union(UnionFind& uf, double tau) const {
-  for (size_t i = 0; i < weight_.size(); ++i) {
-    if (weight_[i] > tau) break;  // rank-sorted
-    uf.unite(u_[i], v_[i]);
-  }
 }
 
 }  // namespace dynsld::engine

@@ -17,9 +17,9 @@
 //     taking the jump while its weight is <= tau and the parent
 //     otherwise — O(log h) steps, O(m) to build, 4 B per node.
 //
-// The primary arrays (endpoints, weights, parents, leaf hooks) and the
-// two derivations every read needs (subtree counts, jumps) are built
-// eagerly. The CSR child and leaf lists serve only the §6.1 cluster
+// The primary arrays (label endpoints, weights, parents, leaf hooks)
+// and the two derivations every read needs (subtree counts, jumps) are
+// built eagerly. The CSR child and leaf lists serve only the §6.1 cluster
 // report, so they are built lazily, once, by the first members_of()
 // call: no flush pays for them, and the O(log h + |cluster|) bound
 // holds from the second report on.
@@ -43,7 +43,6 @@
 #include <span>
 #include <vector>
 
-#include "dendrogram/static_sld.hpp"
 #include "dynsld/dyn_sld.hpp"
 #include "graph/types.hpp"
 
@@ -67,16 +66,14 @@ class DendrogramSnapshot {
   /// Freeze the current dendrogram of `sld`. Uses only const accessors;
   /// the caller guarantees no concurrent mutation during the build
   /// (the engine builds under its writer lock). `base` is the global id
-  /// of the sld's local vertex 0 (shard-local vertex spaces).
-  static std::shared_ptr<const DendrogramSnapshot> build(const DynSLD& sld,
-                                                         vertex_id base = 0);
-
-  /// Same, but also exports the slot -> edge-id mapping the build chose
-  /// (ascending rank order). The incremental builder (ShardContraction)
+  /// of the sld's local vertex 0 (shard-local vertex spaces). A non-null
+  /// `ids_out` receives the slot -> edge-id mapping the build chose
+  /// (ascending rank order): the incremental builder (ShardContraction)
   /// retains it to translate the dendrogram's structural-change journal
   /// into slot-space patches on the next epoch.
   static std::shared_ptr<const DendrogramSnapshot> build(
-      const DynSLD& sld, vertex_id base, std::vector<edge_id>* ids_out);
+      const DynSLD& sld, vertex_id base = 0,
+      std::vector<edge_id>* ids_out = nullptr);
 
   /// Local vertex count (the shard's range size, not the global n).
   vertex_id num_vertices() const { return n_; }
@@ -138,15 +135,9 @@ class DendrogramSnapshot {
   /// O(n + |nodes|).
   std::vector<vertex_id> flat_clustering(double tau) const;
 
-  /// Unite every tree edge of weight <= tau into the caller's
-  /// union-find (cross-shard merged queries). Nodes are rank-sorted, so
-  /// this scans a prefix and stops. O(|{e : w_e <= tau}|).
-  void threshold_union(UnionFind& uf, double tau) const;
-
-  /// Endpoints/weight/vertex-count of a dense slot (merged-query
-  /// plumbing; endpoints are global ids).
+  /// Label endpoint (global id; flat_labels() names the slot's cluster
+  /// by it)/weight/vertex-count of a dense slot (merged-query plumbing).
   vertex_id slot_u(int32_t s) const { return u_[s]; }
-  vertex_id slot_v(int32_t s) const { return v_[s]; }
   double slot_weight(int32_t s) const { return weight_[s]; }
   uint64_t slot_count(int32_t s) const { return count_[s]; }
 
@@ -176,8 +167,9 @@ class DendrogramSnapshot {
 
   vertex_id n_ = 0;
   vertex_id base_ = 0;
-  // Per dense slot, ascending rank order.
-  std::vector<vertex_id> u_, v_;
+  // Per dense slot, ascending rank order. u_ is the node's first
+  // endpoint (global id), the label flat_labels() gives its cluster.
+  std::vector<vertex_id> u_;
   std::vector<double> weight_;
   std::vector<int32_t> parent_;
   std::vector<uint32_t> count_;  // vertices in the slot's cluster (<= n_)

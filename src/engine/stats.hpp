@@ -67,11 +67,8 @@ namespace dynsld::engine {
   X(views_built)          /* ThresholdView resolutions */                 \
   X(cross_uf_builds)      /* full cross-shard union-find builds */        \
   X(refresh_views_reused) /* resolution shared wholesale */               \
-  X(refresh_views_incremental) /* dirty shards re-topped */               \
-  X(refresh_views_full)   /* cross prefix changed: rebuilt */             \
-  X(refresh_shards_reused)   /* clean shards per refresh */               \
-  X(refresh_shards_rebuilt)  /* dirty shards per refresh */               \
-  X(cross_uf_incremental) /* incremental blob-UF re-resolves */           \
+  X(refresh_views_incremental) /* hosting shard changed: re-resolved */   \
+  X(refresh_views_full)   /* cross prefix changed: re-resolved */         \
   /* -- flat labels -- */                                                 \
   X(labels_rebuilt)       /* global label materializations */             \
   /* Retired with the flat-label patch path: never incremented, */        \
@@ -379,15 +376,10 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
   if (r.refresh_views_reused || r.refresh_views_incremental ||
       r.refresh_views_full)
     std::fprintf(out,
-                 "view refreshes: %llu reused / %llu incremental / %llu full  "
-                 "shards %llu reused / %llu rebuilt  cross-uf %llu "
-                 "incremental\n",
+                 "view refreshes: %llu reused / %llu incremental / %llu full\n",
                  (unsigned long long)r.refresh_views_reused,
                  (unsigned long long)r.refresh_views_incremental,
-                 (unsigned long long)r.refresh_views_full,
-                 (unsigned long long)r.refresh_shards_reused,
-                 (unsigned long long)r.refresh_shards_rebuilt,
-                 (unsigned long long)r.cross_uf_incremental);
+                 (unsigned long long)r.refresh_views_full);
   if (r.shard_snapshots_patched || r.shard_patch_fallbacks)
     std::fprintf(out,
                  "shard patching: %llu patched (%llu fallbacks)\n",

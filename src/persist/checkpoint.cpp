@@ -24,7 +24,10 @@ constexpr char kMagic[8] = {'D', 'S', 'L', 'D', 'C', 'K', 'P', '1'};
 // v4: each shard encodes only its primary arrays (no counts, CSR or
 //     jumps; decode re-derives them), and the delta drops
 //     verts_rebuilt.
-constexpr uint32_t kVersion = 4;
+// v5: each shard drops the v endpoint array (no reader), and the delta
+//     keeps only base_epoch, shard_rebuilt and cross_min_w (the cross
+//     churn counts and per-shard patch records go).
+constexpr uint32_t kVersion = 5;
 
 }  // namespace
 
@@ -35,7 +38,6 @@ void SnapshotCodec::encode_shard(const engine::DendrogramSnapshot& d,
   out.u32(d.n_);
   out.u32(d.base_);
   out.pod_vec(d.u_);
-  out.pod_vec(d.v_);
   out.pod_vec(d.weight_);
   out.pod_vec(d.parent_);
   out.pod_vec(d.leaf_parent_);
@@ -54,16 +56,7 @@ void SnapshotCodec::encode(const engine::EngineSnapshot& snap,
   const engine::EpochDelta& dl = snap.delta_;
   out.u64(dl.base_epoch);
   out.pod_vec(dl.shard_rebuilt);
-  out.u32(dl.cross_inserted);
-  out.u32(dl.cross_erased);
   out.f64(dl.cross_min_w);
-  // Serialize ShardPatch field-wise so the file bytes stay a pure
-  // function of the state, not of the struct layout.
-  out.u64(dl.shard_patch.size());
-  for (const engine::EpochDelta::ShardPatch& sp : dl.shard_patch) {
-    out.u8(sp.mode);
-    out.u8(sp.fallback);
-  }
   const obs::EpochTrace& tr = snap.trace_;
   out.u64(tr.epoch);
   out.u64(tr.ops);
@@ -107,7 +100,6 @@ engine::EpochManager::Snap SnapshotCodec::decode(
     d->n_ = in.u32();
     d->base_ = in.u32();
     d->u_ = in.pod_vec<vertex_id>();
-    d->v_ = in.pod_vec<vertex_id>();
     d->weight_ = in.pod_vec<double>();
     d->parent_ = in.pod_vec<int32_t>();
     d->leaf_parent_ = in.pod_vec<int32_t>();
@@ -118,14 +110,14 @@ engine::EpochManager::Snap SnapshotCodec::decode(
     const vertex_id n = d->n_, base = d->base_;
     if (!in.ok() || n != map.local_size(k) || base != map.base(k) ||
         m > static_cast<size_t>(std::numeric_limits<int32_t>::max()) ||
-        d->u_.size() != m || d->v_.size() != m || d->weight_.size() != m ||
+        d->u_.size() != m || d->weight_.size() != m ||
         d->leaf_parent_.size() != n)
       return nullptr;
     for (size_t i = 0; i < m; ++i) {
       const int32_t p = d->parent_[i];
       if ((p != kNoSlot &&
            (p <= static_cast<int32_t>(i) || static_cast<size_t>(p) >= m)) ||
-          d->u_[i] - base >= n || d->v_[i] - base >= n)
+          d->u_[i] - base >= n)
         return nullptr;
     }
     for (const int32_t lp : d->leaf_parent_)
@@ -144,18 +136,7 @@ engine::EpochManager::Snap SnapshotCodec::decode(
   engine::EpochDelta& dl = snap->delta_;
   dl.base_epoch = in.u64();
   dl.shard_rebuilt = in.pod_vec<char>();
-  dl.cross_inserted = in.u32();
-  dl.cross_erased = in.u32();
   dl.cross_min_w = in.f64();
-  uint64_t n_patch = in.u64();
-  if (n_patch > in.remaining() / 2) return nullptr;  // 2 B encoded each
-  dl.shard_patch.reserve(static_cast<size_t>(n_patch));
-  for (uint64_t i = 0; i < n_patch; ++i) {
-    engine::EpochDelta::ShardPatch sp;
-    sp.mode = in.u8();
-    sp.fallback = in.u8();
-    dl.shard_patch.push_back(sp);
-  }
   obs::EpochTrace& tr = snap->trace_;
   tr.epoch = in.u64();
   tr.ops = in.u64();

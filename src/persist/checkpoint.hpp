@@ -16,7 +16,7 @@
 //     primary arrays + cross-edge table + epoch/delta/trace metadata),
 //     encoded by SnapshotCodec: byte-exact rehydration for AsOf{epoch}
 //     queries at the checkpoint epoch, no replay required. Per shard
-//     the codec stores n, base, u, v, weight, parent and leaf_parent
+//     the codec stores n, base, u, weight, parent and leaf_parent
 //     only; decode validates them and re-derives subtree counts and
 //     jump pointers through the build's own helpers (the cluster-report
 //     CSR builds lazily, as in a live snapshot).

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <thread>
 #include <vector>
@@ -175,8 +176,7 @@ TEST(MutationQueue, LedgerMissCountsOnlyTheMissCounter) {
 
 /// Patch-viability fallback: a batch that guts more than half a shard
 /// fails the exact re-check at materialization and falls back to a full
-/// rebuild (counted, and visible per-shard in the epoch delta); the
-/// next small batch patches again.
+/// rebuild (counted); the next small batch patches again.
 TEST(ShardRouter, PatchViabilityFallbackOnLargeCut) {
   ServiceConfig cfg;
   cfg.num_vertices = 32;
@@ -188,26 +188,21 @@ TEST(ShardRouter, PatchViabilityFallbackOnLargeCut) {
     ts.push_back(svc.insert(v, v + 1, rng.next_double()));
   svc.flush();
 
+  auto before = svc.stats();
   for (size_t i = 0; i < 20; ++i) svc.erase(ts[i]);  // > half the shard
   svc.flush();
-  auto r = svc.stats();
-  EXPECT_GE(r.shard_patch_fallbacks, 1u);
-  {
-    const EpochDelta& dl = svc.snapshot()->delta();
-    ASSERT_EQ(dl.shard_patch.size(), 1u);
-    EXPECT_EQ(dl.shard_patch[0].mode, 0);
-    EXPECT_EQ(dl.shard_patch[0].fallback, 1);
-  }
+  auto after = svc.stats();
+  EXPECT_EQ(after.shard_patch_fallbacks - before.shard_patch_fallbacks, 1u);
+  EXPECT_EQ(after.shard_snapshots_patched - before.shard_snapshots_patched,
+            0u);
 
+  before = after;
   svc.insert(0, 31, 0.9);  // small follow-up batch
   svc.flush();
-  EXPECT_GT(svc.stats().shard_snapshots_patched, 0u);
-  {
-    const EpochDelta& dl = svc.snapshot()->delta();
-    ASSERT_EQ(dl.shard_patch.size(), 1u);
-    EXPECT_EQ(dl.shard_patch[0].mode, 1);
-    EXPECT_EQ(dl.shard_patch[0].fallback, 0);
-  }
+  after = svc.stats();
+  EXPECT_EQ(after.shard_snapshots_patched - before.shard_snapshots_patched,
+            1u);
+  EXPECT_EQ(after.shard_patch_fallbacks - before.shard_patch_fallbacks, 0u);
 }
 
 /// The router exports each flush's MSF replacement-search work: one
@@ -877,7 +872,7 @@ namespace {
 
 /// Seed an 8-shard service (stride 8) with intra edges in every shard
 /// plus sub-tau cross edges whose endpoints span all shards, so a
-/// refresh at tau exercises the incremental path.
+/// refresh at tau after any shard's churn must re-resolve.
 void seed_eight_shards(SldService& svc, par::Rng& rng) {
   for (int k = 0; k < 8; ++k) {
     for (int i = 0; i < 14; ++i) {
@@ -895,10 +890,11 @@ void seed_eight_shards(SldService& svc, par::Rng& rng) {
 
 }  // namespace
 
-/// The acceptance scenario: with 1 of 8 shards dirty per flush, a
+/// The acceptance scenario: with 1 of 8 shards dirty per flush, the
+/// flush reuses the 7 clean shard snapshots, and a
 /// ThresholdView::refreshed chain (the broker's standing-cache path)
-/// reuses the 7 clean shards (counter-verified) and answers bit-for-bit
-/// like a freshly built view.
+/// re-resolves — the dirty shard hosts a sub-tau cross endpoint — and
+/// answers bit-for-bit like a freshly built view.
 TEST(ThresholdView, HotShardRefreshReusesCleanShards) {
   const vertex_id n = 64;
   ServiceConfig cfg;
@@ -919,27 +915,29 @@ TEST(ThresholdView, HotShardRefreshReusesCleanShards) {
       auto [u, v] = test::random_block_pair(rng, 0, 8);
       svc.insert(u, v, rng.next_double());
     }
+    auto before = svc.stats();
     svc.flush();
     EXPECT_GT(svc.epoch(), tv->epoch());
+    EXPECT_EQ(svc.stats().shard_snapshots_reused - before.shard_snapshots_reused,
+              7u);
     // The published delta records the flush's footprint: shard 0
     // rebuilt, the rest untouched, no cross churn.
     {
       const EpochDelta& d = svc.snapshot()->delta();
       EXPECT_EQ(d.num_rebuilt(), 1);
       EXPECT_EQ(d.shard_rebuilt[0], 1);
-      EXPECT_FALSE(d.cross_changed());
-      EXPECT_EQ(d.cross_inserted + d.cross_erased, 0u);
+      EXPECT_EQ(d.cross_min_w, std::numeric_limits<double>::infinity());
     }
     auto snap = svc.snapshot();
-    auto before = svc.stats();
+    before = svc.stats();
     tv = ThresholdView::refreshed(tv, snap);
     auto after = svc.stats();
-    EXPECT_EQ(after.refresh_shards_reused - before.refresh_shards_reused, 7u);
-    EXPECT_EQ(after.refresh_shards_rebuilt - before.refresh_shards_rebuilt, 1u);
+    // The prefix held but shard 0 hosts a sub-tau cross endpoint, so
+    // the resolution is rebuilt, not shared.
+    EXPECT_EQ(after.refresh_views_incremental - before.refresh_views_incremental,
+              1u);
+    EXPECT_EQ(after.refresh_views_reused, before.refresh_views_reused);
     EXPECT_EQ(after.refresh_views_full, before.refresh_views_full);
-    // Shard 0 hosts a cross endpoint, so the refresh is incremental,
-    // not a wholesale reuse.
-    EXPECT_EQ(after.cross_uf_incremental - before.cross_uf_incremental, 1u);
 
     // Bit-for-bit against a freshly resolved view, and against the
     // Kruskal oracle.
@@ -957,9 +955,70 @@ TEST(ThresholdView, HotShardRefreshReusesCleanShards) {
   }
 }
 
+/// A dirty shard that hosts no sub-tau cross endpoint cannot change the
+/// resolution: the refresh shares it wholesale, and the reused view
+/// still answers the dirty shard's own clusters from the new snapshot.
+TEST(ThresholdView, DirtyShardWithoutSubTauEndpointKeepsResolution) {
+  const vertex_id n = 64;
+  ServiceConfig cfg;
+  cfg.num_vertices = n;
+  cfg.num_shards = 8;
+  cfg.capture_edges = true;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  for (int k = 0; k < 8; ++k) {
+    for (int i = 0; i < 14; ++i) {
+      auto [u, v] = test::random_block_pair(rng, static_cast<vertex_id>(k) * 8, 8);
+      svc.insert(u, v, rng.next_double() * 0.5);
+    }
+  }
+  // Sub-tau cross edges among shards 1..7 only; shard 0's one cross
+  // edge sits above tau.
+  const double tau = 0.6;
+  for (int k = 1; k < 8; ++k)
+    svc.insert(static_cast<vertex_id>(k) * 8 + rng.next_bounded(8),
+               static_cast<vertex_id>(k % 7 + 1) * 8 + rng.next_bounded(8),
+               0.1 + 0.3 * rng.next_double());
+  svc.insert(3, 45, 0.9);
+  svc.flush();
+  auto tv = std::make_shared<const ThresholdView>(svc.snapshot(), tau);
+  ASSERT_GT(tv->num_cross_groups(), 0u);
+
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 10; ++i) {
+      auto [u, v] = test::random_block_pair(rng, 0, 8);
+      svc.insert(u, v, rng.next_double());
+    }
+    svc.flush();
+    auto snap = svc.snapshot();
+    ASSERT_EQ(snap->delta().num_rebuilt(), 1);
+    ASSERT_EQ(snap->delta().shard_rebuilt[0], 1);
+    auto before = svc.stats();
+    tv = ThresholdView::refreshed(tv, snap);
+    auto after = svc.stats();
+    EXPECT_EQ(after.refresh_views_reused - before.refresh_views_reused, 1u);
+    EXPECT_EQ(after.refresh_views_incremental, before.refresh_views_incremental);
+    EXPECT_EQ(after.refresh_views_full, before.refresh_views_full);
+    EXPECT_EQ(after.views_built, before.views_built);
+
+    ASSERT_EQ(tv->epoch(), snap->epoch());
+    ThresholdView fresh(snap, tau);
+    EXPECT_EQ(tv->flat_clustering(), fresh.flat_clustering());
+    EXPECT_EQ(tv->size_histogram(), fresh.size_histogram());
+    EXPECT_EQ(tv->num_clusters(), fresh.num_clusters());
+    auto ref = reference_labels(n, snap->captured_edges(), tau);
+    expect_same_partition(ref, tv->flat_clustering());
+    for (vertex_id s = 0; s < n; ++s) {
+      const vertex_id t = static_cast<vertex_id>(rng.next_bounded(n));
+      EXPECT_EQ(tv->same_cluster(s, t), ref[s] == ref[t]) << "s=" << s << " t=" << t;
+      EXPECT_EQ(tv->cluster_size(s), ref_cluster_size(ref, s)) << "s=" << s;
+    }
+  }
+}
+
 /// Cross-edge churn strictly above the threshold keeps the sub-tau
-/// prefix intact: the single-step delta proves it and the refresh stays
-/// incremental; churn at or below tau forces the full re-resolve.
+/// prefix intact: the single-step delta proves it and the refresh does
+/// not count as full; churn at or below tau forces the full re-resolve.
 TEST(ThresholdView, CrossDeltaGatesFullResolve) {
   const vertex_id n = 64;
   ServiceConfig cfg;

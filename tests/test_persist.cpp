@@ -508,12 +508,12 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   EXPECT_EQ(persist::SnapshotCodec::decode(half, nullptr, nullptr), nullptr);
 }
 
-/// Version 4 changed the shard encoding (primary arrays only; counts
-/// and jumps are derived on decode), so a version-3 file must be
-/// refused at the header, not decoded as version 4. The stamped file
-/// is otherwise well-formed: the CRC covers only the payload and stays
-/// valid.
-TEST(Checkpoint, ReadRejectsVersion3File) {
+/// Version 5 changed the shard and delta encodings (no v endpoint
+/// array, no cross-churn counts or patch records), so a version-4 file
+/// must be refused at the header, not decoded as version 5. The stamped
+/// file is otherwise well-formed: the CRC covers only the payload and
+/// stays valid.
+TEST(Checkpoint, ReadRejectsVersion4File) {
   TempDir dir;
   ServiceConfig cfg;
   cfg.num_vertices = 16;
@@ -535,9 +535,9 @@ TEST(Checkpoint, ReadRejectsVersion3File) {
 
   constexpr size_t kVersionAt = 8;  // after the 8-byte magic
   persist::ByteReader ver(bytes.data() + kVersionAt, 4);
-  ASSERT_EQ(ver.u32(), 4u);
+  ASSERT_EQ(ver.u32(), 5u);
   persist::ByteWriter stamp;
-  stamp.u32(3);
+  stamp.u32(4);
   bytes.replace(kVersionAt, 4, stamp.bytes());
   EXPECT_FALSE(persist::CheckpointWriter::read(bytes, &data));
 }
@@ -571,7 +571,6 @@ TEST(Checkpoint, DecodeRejectsIndexOutsideItsTable) {
   r.u32();
   const size_t u_at = entry_at();
   r.pod_vec<vertex_id>();  // u_
-  r.pod_vec<vertex_id>();  // v_
   r.pod_vec<double>();     // weight_
   const size_t parent_at = entry_at();
   r.pod_vec<int32_t>();    // parent_

@@ -74,7 +74,7 @@ void expect_matches_naive(const DynSLD& sld, const DendrogramSnapshot& snap,
         const Dendrogram::Node& nd = d.node(top[v]);
         ASSERT_NE(s, DendrogramSnapshot::kNoSlot) << at();
         ASSERT_EQ(snap.slot_u(s), nd.u + kBase) << at();
-        ASSERT_EQ(snap.slot_v(s), nd.v + kBase) << at();
+        ASSERT_EQ(snap.slot_weight(s), nd.weight) << at();
         ASSERT_EQ(snap.cluster_size(v + kBase, tau), size[top[v]]) << at();
       }
       // Neighbours in id order plus random partners: most pairs at a

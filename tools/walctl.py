@@ -45,7 +45,7 @@ CKPT_MAGIC = b"DSLDCKP1"
 WAL_RE = re.compile(r"^wal-(\d{20})\.log$")
 CKPT_RE = re.compile(r"^ckpt-(\d{20})\.bin$")
 WAL_VERSION = 1
-CKPT_VERSION = 4  # src/persist/checkpoint.cpp kVersion
+CKPT_VERSION = 5  # src/persist/checkpoint.cpp kVersion
 
 # CRC-32C (Castagnoli, reflected poly 0x82F63B78), matching
 # src/persist/crc32c.hpp bit for bit.
