@@ -12,11 +12,12 @@
 //      tail over the same history, and AsOf{epoch} query latency per
 //      serving tier (retention ring, cold checkpoint rehydration,
 //      rehydration LRU) against the Latest baseline.
-//   9. Incremental flush: per-flush latency of the incremental patch
-//      (retained per-shard slot order, copy-on-write snapshot arrays)
-//      vs the from-scratch rebuild across a batch-size x shard-size
-//      sweep; oversized batches show the viability gate falling back
-//      to rebuilds.
+//   9. Shard freeze: ShardContraction::advance (the engine's freeze:
+//      copy-on-write patch of the previous epoch's arrays, fresh build
+//      when the churn is too large) vs DendrogramSnapshot::build on
+//      one shard's clustering, across a batch-size x shard-size sweep
+//      up to the 65,536-vertex shard ingest_forest freezes; oversized
+//      batches show the viability gate falling back to rebuilds.
 //  10. Wire serving: the same single-query request stream through an
 //      in-process submit() vs across a loopback RpcServer (the delta
 //      is pure plumbing: frame codec + TCP + poll loop + completion
@@ -40,7 +41,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "engine/contraction.hpp"
 #include "engine/sld_service.hpp"
+#include "msf/dynamic_msf.hpp"
 #include "net/client.hpp"
 #include "net/replication.hpp"
 #include "net/server.hpp"
@@ -301,113 +304,96 @@ static void durability(bool smoke) {
   fs::remove_all(base, ec);
 }
 
-static void incremental_flush(bool smoke) {
+static void freeze_patch_vs_build(bool smoke) {
   bench::header("E-ENGINE-9",
-                "incremental shard flush: COW patch vs full rebuild");
-  // Enough flushes per config that the p50 reflects the engine rather
+                "shard freeze: ShardContraction::advance vs fresh build");
+  // Enough rounds per config that the p50 reflects the engine rather
   // than scheduling noise on small hosts (the slow tail is one-sided).
   const int rounds = smoke ? 32 : 48;
   bench::row("%8s %6s | %10s %10s | %10s %10s | %8s %8s", "shard n",
              "batch", "rb p50 us", "rb p99 us", "pt p50 us", "pt p99 us",
              "speedup", "patched");
+  // 65,536 is the shard size perfbench's ingest_forest freezes.
   for (vertex_id n : smoke ? std::vector<vertex_id>{1024, 8192}
-                           : std::vector<vertex_id>{1024, 2048, 8192}) {
+                           : std::vector<vertex_id>{1024, 2048, 8192, 65536}) {
     for (int batch : smoke ? std::vector<int>{8, 16, 64}
                            : std::vector<int>{8, 16, 64, 256}) {
-      // Index 0 = full rebuild every flush, 1 = incremental patch.
-      // The headline numbers are the per-shard snapshot materialization
-      // stage (the flush.shard_build / flush.shard_patch histograms the
-      // router records into) — that is the stage this path optimizes.
-      // Whole-flush wall time is dominated by the MSF apply stage
-      // (erase replacement searches) and is emitted as secondary JSON
-      // metrics for context.
-      std::vector<double> wall[2];
-      double stage50[2] = {0, 0}, stage99[2] = {0, 0};
-      uint64_t patched = 0, fallbacks = 0;
-      {
-        // Twin services, identical op streams, flushes interleaved per
-        // round: external disturbances (this is a latency benchmark on
-        // a shared host) then contaminate both sides' histograms about
-        // equally instead of landing on whichever variant happened to
-        // be running, so the p50 ratio is stable run-to-run.
-        std::unique_ptr<SldService> svcs[2];
-        for (int inc = 0; inc < 2; ++inc) {
-          ServiceConfig cfg;
-          cfg.num_vertices = n;
-          cfg.num_shards = 1;
-          cfg.incremental_snapshots = inc == 1;
-          svcs[inc] = std::make_unique<SldService>(cfg);
-        }
-        par::Rng rng(99);
-        uint64_t widx = 0;
-        auto wgen = [&] {
-          return static_cast<double>((widx++ * 2654435761ull + 3) %
-                                     999983ull) /
-                 999983.0;
-        };
-        auto rand_pair = [&] {
-          vertex_id u = static_cast<vertex_id>(rng.next_bounded(n));
-          vertex_id v = static_cast<vertex_id>(rng.next_bounded(n - 1));
-          if (v >= u) ++v;
-          return std::pair<vertex_id, vertex_id>{u, v};
-        };
-        // Bulk load: a path over the shard plus n/4 random chords, so
-        // the dendrogram is one big component with internal structure.
-        // Tickets are service-local, but the identical op streams keep
-        // the two live lists index-aligned.
-        std::vector<ticket_t> live[2];
-        auto ins = [&](vertex_id u, vertex_id v) {
-          const double w = wgen();
-          live[0].push_back(svcs[0]->insert(u, v, w));
-          live[1].push_back(svcs[1]->insert(u, v, w));
-        };
-        for (vertex_id v = 0; v + 1 < n; ++v) ins(v, v + 1);
-        for (vertex_id i = 0; i < n / 4; ++i) {
-          auto [u, v] = rand_pair();
-          ins(u, v);
-        }
-        svcs[0]->flush();
-        svcs[1]->flush();
-        for (int r = 0; r < rounds; ++r) {
-          for (int i = 0; i < batch; ++i) {
-            if (!live[0].empty() && rng.next_double() < 0.5) {
-              size_t j = rng.next_bounded(live[0].size());
-              for (int inc = 0; inc < 2; ++inc) {
-                svcs[inc]->erase(live[inc][j]);
-                live[inc][j] = live[inc].back();
-                live[inc].pop_back();
-              }
-            } else {
-              auto [u, v] = rand_pair();
-              ins(u, v);
-            }
-          }
-          for (int inc = 0; inc < 2; ++inc) {
-            bench::Timer t;
-            svcs[inc]->flush();
-            wall[inc].push_back(t.us());
-          }
-        }
-        // The rebuild service records every materialization into
-        // flush.shard_build; the incremental one records patched ones
-        // into flush.shard_patch (its bulk load and any fallbacks land
-        // in shard_build, so the patch histogram is pure).
-        for (int inc = 0; inc < 2; ++inc) {
-          auto hs = (inc ? svcs[inc]->obs().flush_shard_patch
-                         : svcs[inc]->obs().flush_shard_build)
-                        ->snapshot();
-          stage50[inc] = hs.p50() / 1000.0;
-          stage99[inc] = hs.p99() / 1000.0;
-        }
-        auto st = svcs[1]->stats();
-        patched = st.shard_snapshots_patched;
-        fallbacks = st.shard_patch_fallbacks;
+      // One shard's clustering, frozen both ways after every batch:
+      // ShardContraction::advance (the engine's freeze: a copy-on-write
+      // patch of the previous epoch, or a fresh build when the journal
+      // overflowed or the viability check fails) and a from-scratch
+      // DendrogramSnapshot::build of the same dendrogram. The two are
+      // timed back to back, alternating which goes first, so host
+      // disturbances land on both sides about equally.
+      DynamicClustering dc(n);
+      par::Rng rng(99);
+      uint64_t widx = 0;
+      auto wgen = [&] {
+        return static_cast<double>((widx++ * 2654435761ull + 3) % 999983ull) /
+               999983.0;
+      };
+      auto rand_pair = [&] {
+        vertex_id u = static_cast<vertex_id>(rng.next_bounded(n));
+        vertex_id v = static_cast<vertex_id>(rng.next_bounded(n - 1));
+        if (v >= u) ++v;
+        return std::pair<vertex_id, vertex_id>{u, v};
+      };
+      // Bulk load: a path over the shard plus n/4 random chords, so
+      // the dendrogram is one big component with internal structure.
+      std::vector<DynamicClustering::EdgeUpdate> ins;
+      for (vertex_id v = 0; v + 1 < n; ++v) ins.push_back({v, v + 1, wgen()});
+      for (vertex_id i = 0; i < n / 4; ++i) {
+        auto [u, v] = rand_pair();
+        ins.push_back({u, v, wgen()});
       }
-      const double rb50 = stage50[0], rb99 = stage99[0];
-      const double pt50 = stage50[1], pt99 = stage99[1];
+      std::vector<DynamicClustering::graph_edge> live = dc.insert_edges(ins);
+      ShardContraction contraction;
+      ShardContraction::PatchStats ps;
+      auto prev = contraction.advance(dc.sld(), 0, nullptr, ps);
+      std::vector<double> rb, pt;
+      uint64_t patched = 0, fallbacks = 0;
+      for (int r = 0; r < rounds; ++r) {
+        // Half erases, half inserts; erases apply first, as the router
+        // applies a drained batch.
+        std::vector<DynamicClustering::graph_edge> era;
+        ins.clear();
+        for (int i = 0; i < batch; ++i) {
+          if (!live.empty() && rng.next_double() < 0.5) {
+            size_t j = rng.next_bounded(live.size());
+            era.push_back(live[j]);
+            live[j] = live.back();
+            live.pop_back();
+          } else {
+            auto [u, v] = rand_pair();
+            ins.push_back({u, v, wgen()});
+          }
+        }
+        dc.erase_edges(era);
+        for (auto g : dc.insert_edges(ins)) live.push_back(g);
+        auto time_patch = [&] {
+          bench::Timer t;
+          auto snap = contraction.advance(dc.sld(), 0, prev.get(), ps);
+          pt.push_back(t.us());
+          prev = std::move(snap);
+        };
+        auto time_build = [&] {
+          bench::Timer t;
+          auto snap = DendrogramSnapshot::build(dc.sld());
+          rb.push_back(t.us());
+        };
+        if (r % 2) {
+          time_patch();
+          time_build();
+        } else {
+          time_build();
+          time_patch();
+        }
+        patched += ps.patched;
+        fallbacks += ps.fallback;
+      }
+      const double rb50 = pct(rb, 0.5), rb99 = pct(rb, 0.99);
+      const double pt50 = pct(pt, 0.5), pt99 = pct(pt, 0.99);
       const double speedup = pt50 > 0 ? rb50 / pt50 : 0.0;
-      const double wall_rb50 = pct(wall[0], 0.5);
-      const double wall_pt50 = pct(wall[1], 0.5);
       char patched_col[32];
       std::snprintf(patched_col, sizeof patched_col, "%llu(%lluF)",
                     static_cast<unsigned long long>(patched),
@@ -425,10 +411,6 @@ static void incremental_flush(bool smoke) {
       bench::json_log().metric("E-ENGINE-9", "flush_p99_us_patch" + key, pt99,
                                "us");
       bench::json_log().metric("E-ENGINE-9", "speedup" + key, speedup, "x");
-      bench::json_log().metric("E-ENGINE-9", "wall_flush_p50_us_rebuild" + key,
-                               wall_rb50, "us");
-      bench::json_log().metric("E-ENGINE-9", "wall_flush_p50_us_patch" + key,
-                               wall_pt50, "us");
     }
   }
 }
@@ -569,7 +551,7 @@ int main(int argc, char** argv) {
   std::printf("workers: %d%s\n", par::num_workers(), smoke ? " (smoke)" : "");
   shard_scaling(smoke);
   durability(smoke);
-  incremental_flush(smoke);
+  freeze_patch_vs_build(smoke);
   wire_serving(smoke);
   bench::json_log().write();
   return 0;

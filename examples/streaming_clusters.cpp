@@ -10,8 +10,9 @@
 // coalesced batch flush; the per-step census is one submitted
 // QueryRequest pinned to at least the slide's epoch (read-your-slide:
 // AtLeastEpoch parks the request until the flush publishes), answered
-// from the broker's standing ThresholdView, which refreshes
-// incrementally across the stream's epochs instead of re-resolving.
+// from the broker's standing ThresholdView, which carries its
+// resolution across the stream's epochs whenever the slide left the
+// sub-tau cross edges and their shards untouched.
 //
 // Workload: a sliding window over a stream of 2-D points (three moving
 // Gaussian-ish blobs). Each window step inserts new points' edges,

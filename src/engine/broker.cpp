@@ -36,7 +36,7 @@ QueryBroker::QueryBroker(const EpochManager& epochs, SubscriptionHub& hub,
     : epochs_(epochs),
       hub_(hub),
       obs_(std::move(obs)),
-      stats_(EngineObs::stats_handle(obs_)),
+      stats_(obs_ ? &obs_->stats : nullptr),
       opt_(opt) {
   if (opt_.queue_depth == 0) opt_.queue_depth = 1;
   last_epoch_ = epochs_.cur_epoch();
@@ -471,8 +471,9 @@ void QueryBroker::dispatch_cycle() {
     }
 
     // Execute the cross-client groups in parallel: one ThresholdView
-    // per (epoch, tau) — refreshed incrementally from the standing
-    // cache when possible — shared by every client in the group. A
+    // per (epoch, tau) — the standing view refreshed to this epoch
+    // when one exists (its resolution shared when nothing it reads
+    // changed) — shared by every client in the group. A
     // request is fulfilled by whichever group finishes it last.
     par::parallel_for(
         0, groups.size(),

@@ -215,8 +215,8 @@ class QueryBroker {
   const EpochManager& epochs_;
   SubscriptionHub& hub_;
   std::shared_ptr<EngineObs> obs_;
-  // Aliasing handle on obs_->stats, so counter bumps stay one `->`.
-  std::shared_ptr<EngineStats> stats_;
+  // &obs_->stats (null without obs_), so counter bumps stay one `->`.
+  EngineStats* stats_;
   Options opt_;
   SubscriptionHub::Token hub_token_ = 0;
 

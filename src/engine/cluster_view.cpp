@@ -10,6 +10,17 @@
 
 namespace dynsld::engine {
 
+namespace {
+
+/// Bump one counter through the snapshot's observability bundle (null
+/// in unit contexts).
+void count(const EngineSnapshot& es, std::atomic<uint64_t> EngineStats::*c) {
+  if (const auto& obs = es.obs())
+    (obs->stats.*c).fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 int64_t ThresholdView::blob_key(int shard, int32_t top, vertex_id x) {
   // Clustered blobs key on (shard, top slot), non-negative; singleton
   // blobs key on the vertex, folded into the negative range so the two
@@ -81,11 +92,9 @@ std::shared_ptr<const ThresholdView::Resolution> ThresholdView::resolve(
 
 ThresholdView::ThresholdView(EpochManager::Snap snap, double tau)
     : snap_(std::move(snap)), tau_(tau) {
-  const auto& stats = snap_->stats();
-  if (stats) stats->views_built.fetch_add(1, std::memory_order_relaxed);
+  count(*snap_, &EngineStats::views_built);
   res_ = resolve(*snap_, tau_);
-  if (res_ && stats)
-    stats->cross_uf_builds.fetch_add(1, std::memory_order_relaxed);
+  if (res_) count(*snap_, &EngineStats::cross_uf_builds);
 }
 
 ThresholdView::ThresholdView(EpochManager::Snap snap, double tau,
@@ -117,11 +126,9 @@ std::shared_ptr<const ThresholdView> ThresholdView::refreshed(
   for (int k = 0; reuse && prev->res_ && k < es.shard_map().num_shards; ++k)
     reuse = !prev->res_->shard_hosts[k] || &es.shard(k) == &pes.shard(k);
 
-  if (const auto& stats = es.stats())
-    (reuse         ? stats->refresh_views_reused
-     : prefix_same ? stats->refresh_views_incremental
-                   : stats->refresh_views_full)
-        .fetch_add(1, std::memory_order_relaxed);
+  count(es, reuse         ? &EngineStats::refresh_views_reused
+            : prefix_same ? &EngineStats::refresh_views_incremental
+                          : &EngineStats::refresh_views_full);
   if (reuse)
     return std::shared_ptr<const ThresholdView>(
         new ThresholdView(std::move(snap), tau, prev->res_));
@@ -138,8 +145,7 @@ int32_t ThresholdView::resolve_vertex(vertex_id x, int& shard,
 }
 
 bool ThresholdView::same_cluster(vertex_id s, vertex_id t) const {
-  const auto& stats = snap_->stats();
-  if (stats) stats->q_same_cluster.fetch_add(1, std::memory_order_relaxed);
+  count(*snap_, &EngineStats::q_same_cluster);
   if (s == t) return true;
   int ss, st;
   int32_t tops, topt;
@@ -152,8 +158,7 @@ bool ThresholdView::same_cluster(vertex_id s, vertex_id t) const {
 }
 
 uint64_t ThresholdView::cluster_size(vertex_id u) const {
-  const auto& stats = snap_->stats();
-  if (stats) stats->q_cluster_size.fetch_add(1, std::memory_order_relaxed);
+  count(*snap_, &EngineStats::q_cluster_size);
   int s;
   int32_t top;
   int32_t g = resolve_vertex(u, s, top);
@@ -164,8 +169,7 @@ uint64_t ThresholdView::cluster_size(vertex_id u) const {
 }
 
 std::vector<vertex_id> ThresholdView::cluster_report(vertex_id u) const {
-  const auto& stats = snap_->stats();
-  if (stats) stats->q_cluster_report.fetch_add(1, std::memory_order_relaxed);
+  count(*snap_, &EngineStats::q_cluster_report);
   int s;
   int32_t top;
   int32_t g = resolve_vertex(u, s, top);
@@ -260,8 +264,7 @@ ThresholdView::LabelSet ThresholdView::build_labels() const {
     assert(cnt >= 0);
     if (cnt > 0) ls.hist.bins.emplace_back(size, static_cast<uint64_t>(cnt));
   }
-  if (const auto& stats = es.stats())
-    stats->labels_rebuilt.fetch_add(1, std::memory_order_relaxed);
+  count(es, &EngineStats::labels_rebuilt);
   return ls;
 }
 
@@ -271,20 +274,17 @@ const ThresholdView::LabelSet& ThresholdView::label_set() const {
 }
 
 const std::vector<vertex_id>& ThresholdView::flat_clustering() const {
-  const auto& stats = snap_->stats();
-  if (stats) stats->q_flat_clustering.fetch_add(1, std::memory_order_relaxed);
+  count(*snap_, &EngineStats::q_flat_clustering);
   return label_set().flat;
 }
 
 const SizeHistogram& ThresholdView::size_histogram() const {
-  const auto& stats = snap_->stats();
-  if (stats) stats->q_size_histogram.fetch_add(1, std::memory_order_relaxed);
+  count(*snap_, &EngineStats::q_size_histogram);
   return label_set().hist;
 }
 
 uint64_t ThresholdView::num_clusters() const {
-  const auto& stats = snap_->stats();
-  if (stats) stats->q_num_clusters.fetch_add(1, std::memory_order_relaxed);
+  count(*snap_, &EngineStats::q_num_clusters);
   const ShardMap& map = snap_->shard_map();
   uint64_t total = 0;
   for (int k = 0; k < map.num_shards; ++k)

@@ -15,7 +15,6 @@ std::shared_ptr<const DendrogramSnapshot> ShardContraction::advance(
     DynSLD& sld, vertex_id base, const DendrogramSnapshot* prev,
     PatchStats& out) {
   out = PatchStats{};
-  if (!incremental_) return DendrogramSnapshot::build(sld, base);
   const Dendrogram::Journal& j = sld.structure_journal();
   // An empty previous shard (cold start, epoch 0) rebuilds without
   // counting as a viability fallback — there was nothing to patch.

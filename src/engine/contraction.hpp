@@ -32,9 +32,10 @@
 // The output is bit-identical to DendrogramSnapshot::build on the same
 // dendrogram: the merge reproduces the fresh build's rank order, parent
 // pointers and leaf hooks come from the same live dendrogram, and every
-// derived array comes from a helper both paths share. The
-// engine's fuzz harness pins this byte-for-byte through SnapshotCodec
-// across randomized schedules, including through persist::recover().
+// derived array comes from a helper both paths share.
+// tests/test_snapshot.cpp pins this byte for byte through SnapshotCodec
+// at every epoch of randomized batch schedules, and the engine's fuzz
+// harness checks patched shards survive persist::recover() unchanged.
 #pragma once
 
 #include <cstdint>
@@ -55,17 +56,13 @@ class ShardContraction {
   /// slot was removed this epoch (remap targets only).
   static constexpr int32_t kRemovedSlot = -2;
 
-  /// Outcome of one advance(), surfaced into EpochDelta / EngineStats.
+  /// Outcome of one advance(), surfaced into EngineStats and the
+  /// flush.shard_build / flush.shard_patch histograms.
   struct PatchStats {
     bool patched = false;   // false: fresh rebuild
     bool fallback = false;  // viability re-check failed at
                             // materialization (counted rebuilt)
   };
-
-  /// `incremental` off = always delegate to the fresh build and never
-  /// enable the journal (the zero-overhead baseline the benchmark and
-  /// the fuzz twin-service compare against).
-  explicit ShardContraction(bool incremental) : incremental_(incremental) {}
 
   /// Produce this shard's snapshot for the epoch being built. `prev` is
   /// the shard snapshot of the previous epoch (nullptr at epoch 0);
@@ -96,7 +93,6 @@ class ShardContraction {
   void adopt(DynSLD& sld, std::vector<edge_id>&& ids,
              std::shared_ptr<const DendrogramSnapshot> snap);
 
-  bool incremental_;
   // Retained across epochs: the previous snapshot's slot order, its
   // inverse (edge id -> slot), and the snapshot itself (pointer
   // identity = validity).

@@ -26,32 +26,10 @@ size_t EngineSnapshot::num_tree_edges() const {
   return total;
 }
 
-namespace {
-
-/// Non-owning alias of a caller-held snapshot, so the convenience
-/// wrappers can stand up a transient ThresholdView without a refcount
-/// round-trip (the caller's shared_ptr keeps the epoch alive).
-EpochManager::Snap alias(const EngineSnapshot* snap) {
-  return EpochManager::Snap(std::shared_ptr<void>(), snap);
-}
-
-}  // namespace
-
-bool EngineSnapshot::same_cluster(vertex_id s, vertex_id t, double tau) const {
-  return ThresholdView(alias(this), tau).same_cluster(s, t);
-}
-
-uint64_t EngineSnapshot::cluster_size(vertex_id u, double tau) const {
-  return ThresholdView(alias(this), tau).cluster_size(u);
-}
-
-std::vector<vertex_id> EngineSnapshot::cluster_report(vertex_id u,
-                                                      double tau) const {
-  return ThresholdView(alias(this), tau).cluster_report(u);
-}
-
 std::vector<vertex_id> EngineSnapshot::flat_clustering(double tau) const {
-  return ThresholdView(alias(this), tau).flat_clustering();
+  // Non-owning alias: the caller's shared_ptr keeps the epoch alive.
+  return ThresholdView(EpochManager::Snap(std::shared_ptr<void>(), this), tau)
+      .flat_clustering();
 }
 
 }  // namespace dynsld::engine

@@ -139,15 +139,11 @@ class EngineSnapshot {
   /// edges only; cross-table edges are raw and counted by cross().
   size_t num_tree_edges() const;
 
-  // ---- merged §6.1 queries (exact across shards) ----
-  // Single-shot convenience wrappers: each builds a transient
-  // ThresholdView (cluster_view.hpp) over this snapshot and asks it.
-  // Batch traffic should go through SldService::submit() (or hold a
-  // ThresholdView) so the per-threshold merge resolution is paid once,
-  // not per call.
-  bool same_cluster(vertex_id s, vertex_id t, double tau) const;
-  uint64_t cluster_size(vertex_id u, double tau) const;
-  std::vector<vertex_id> cluster_report(vertex_id u, double tau) const;
+  /// Flat labels at `tau` through a transient ThresholdView
+  /// (cluster_view.hpp). The one point convenience left on a snapshot,
+  /// kept because the benchmark harness (perfbench/) calls it; other
+  /// reads go through SldService::submit() or hold a ThresholdView, so
+  /// the merge resolution is paid once per (epoch, tau), not per call.
   std::vector<vertex_id> flat_clustering(double tau) const;
 
   /// The epoch's full alive edge set (tree + non-tree + cross), present
@@ -155,14 +151,11 @@ class EngineSnapshot {
   /// ids are dense positions.
   const std::vector<WeightedEdge>& captured_edges() const { return edges_; }
 
-  /// Query accounting sink shared with the publishing service (may be
-  /// null in unit contexts); views bump their counters through it.
-  const std::shared_ptr<EngineStats>& stats() const { return stats_; }
-
-  /// The publishing engine's full observability bundle (registry,
-  /// trace ring, histograms) — null in unit contexts. Shared ownership:
-  /// a reader holding the snapshot keeps the scrape surface alive even
-  /// past the service, exactly like stats().
+  /// The publishing engine's observability bundle (counters,
+  /// registry, trace ring, histograms) — null in unit contexts. Views
+  /// bump their query counters through it. Shared ownership: a reader
+  /// holding the snapshot keeps the scrape surface alive even past the
+  /// service.
   const std::shared_ptr<EngineObs>& obs() const { return obs_; }
 
  private:
@@ -179,9 +172,8 @@ class EngineSnapshot {
   EpochDelta delta_;
   obs::EpochTrace trace_;
   std::vector<WeightedEdge> edges_;
-  // Query accounting: shared with the publishing service so counting
-  // stays safe even for readers that outlive it.
-  std::shared_ptr<EngineStats> stats_;
+  // Shared with the publishing service so counting stays safe even for
+  // readers that outlive it.
   std::shared_ptr<EngineObs> obs_;
 };
 

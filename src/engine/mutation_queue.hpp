@@ -111,12 +111,7 @@ class MutationQueue {
   ticket_t enqueue_insert(vertex_id u, vertex_id v, double w) {
     std::lock_guard<std::mutex> lk(mu_);
     ticket_t t = next_ticket_++;
-    pending_pos_[t] = inserts_.size();
-    inserts_.push_back(InsertOp{t, u, v, w});
-    ++live_inserts_;
-    uint64_t k = endpoint_key(u, v);
-    by_endpoints_[k].push_back(t);
-    key_of_[t] = k;
+    insert_locked(InsertOp{t, u, v, w});
     if (stats_) stats_->inserts_enqueued.fetch_add(1, std::memory_order_relaxed);
     return t;
   }
@@ -146,39 +141,24 @@ class MutationQueue {
     return true;
   }
 
-  // ---- recovery plumbing (persist/persist.hpp) ----
-  // Replay re-enqueues WAL operations with their ORIGINAL tickets, so
-  // ticket identity — and the endpoint ledger's most-recent-copy
-  // resolution — survives a crash. None of these bump enqueue stats:
-  // replayed traffic already counted when it first ran.
+  // ---- recovery plumbing (SldService::replay) ----
 
-  /// Re-enqueue an insertion under its original ticket. The ticket
-  /// counter is raised past `t`, so post-recovery insertions never
-  /// collide with history.
-  void restore_insert(ticket_t t, vertex_id u, vertex_id v, double w) {
+  /// Re-enqueue a logged batch under its ORIGINAL tickets, so ticket
+  /// identity — and the endpoint ledger's most-recent-copy resolution —
+  /// survives a crash, then raise the ticket counter to at least
+  /// `ticket_floor` (a checkpoint's counter: erased-then-forgotten
+  /// tickets are never reissued). The counter also rises past every
+  /// restored insert. Erases never annihilate: their tickets were
+  /// applied by an earlier replayed epoch. Bumps no enqueue stats —
+  /// replayed traffic already counted when it first ran.
+  void restore(const Drained& batch, ticket_t ticket_floor) {
     std::lock_guard<std::mutex> lk(mu_);
-    if (t >= next_ticket_) next_ticket_ = t + 1;
-    pending_pos_[t] = inserts_.size();
-    inserts_.push_back(InsertOp{t, u, v, w});
-    ++live_inserts_;
-    uint64_t k = endpoint_key(u, v);
-    by_endpoints_[k].push_back(t);
-    key_of_[t] = k;
-  }
-
-  /// Re-enqueue an erase by original ticket (replay: the ticket was
-  /// applied by an earlier replayed epoch, so this never annihilates).
-  void restore_erase(ticket_t t) {
-    std::lock_guard<std::mutex> lk(mu_);
-    erase_locked(t, /*count=*/false);
-  }
-
-  /// Raise the ticket counter to at least `floor` (recovery restores
-  /// the checkpoint's counter so erased-then-forgotten tickets are
-  /// never reissued).
-  void restore_ticket_floor(ticket_t floor) {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (floor > next_ticket_) next_ticket_ = floor;
+    for (const InsertOp& op : batch.inserts) {
+      if (op.ticket >= next_ticket_) next_ticket_ = op.ticket + 1;
+      insert_locked(op);
+    }
+    for (const EraseOp& op : batch.erases) erase_locked(op.ticket, false);
+    if (ticket_floor > next_ticket_) next_ticket_ = ticket_floor;
   }
 
   /// The next ticket enqueue_insert would hand out (checkpoints record
@@ -225,6 +205,16 @@ class MutationQueue {
       t = Table{};
     else
       t.clear();
+  }
+
+  /// Queue `op` as pending and record it in the endpoint ledger.
+  void insert_locked(const InsertOp& op) {
+    pending_pos_[op.ticket] = inserts_.size();
+    inserts_.push_back(op);
+    ++live_inserts_;
+    uint64_t k = endpoint_key(op.u, op.v);
+    by_endpoints_[k].push_back(op.ticket);
+    key_of_[op.ticket] = k;
   }
 
   bool erase_locked(ticket_t t, bool count = true) {

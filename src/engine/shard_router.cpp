@@ -8,12 +8,12 @@
 namespace dynsld::engine {
 
 ShardRouter::ShardRouter(vertex_id n, int num_shards, SpineIndex index,
-                         std::shared_ptr<EngineObs> obs, bool incremental)
+                         std::shared_ptr<EngineObs> obs)
     : map_(ShardMap::make(n, num_shards)),
       obs_(std::move(obs)),
-      stats_(EngineObs::stats_handle(obs_)) {
+      stats_(obs_ ? &obs_->stats : nullptr) {
   shards_.reserve(map_.num_shards);
-  contraction_.reserve(map_.num_shards);
+  contraction_.resize(map_.num_shards);
   for (int k = 0; k < map_.num_shards; ++k) {
     // Shard-local vertex space: size each clustering to the shard's own
     // range (min 1 — trailing shards can own an empty range and never
@@ -21,7 +21,6 @@ ShardRouter::ShardRouter(vertex_id n, int num_shards, SpineIndex index,
     vertex_id local_n = map_.local_size(k);
     shards_.push_back(
         std::make_unique<DynamicClustering>(local_n ? local_n : 1, index));
-    contraction_.emplace_back(incremental);
   }
   dirty_.assign(map_.num_shards, 0);
   cross_view_ = std::make_shared<CrossEdgeView>(std::vector<CrossEdgeView::Edge>{});
@@ -127,7 +126,6 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
   auto snap = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
   snap->epoch_ = epoch;
   snap->map_ = map_;
-  snap->stats_ = stats_;
   snap->obs_ = obs_;
   snap->shards_.resize(shards_.size());
   obs::TraceRing* ring = obs_ ? &obs_->trace : nullptr;
@@ -149,7 +147,7 @@ std::shared_ptr<const EngineSnapshot> ShardRouter::build_snapshot(
   {
     // The stage span covers all rebuilds of the epoch; each rebuilt
     // shard additionally records its own build into flush.shard_build
-    // (or flush.shard_patch when the incremental builder patched) from
+    // (or flush.shard_patch when the builder patched) from
     // inside the parallel loop (per-thread histogram shards make that
     // wait-free even when every worker lands at once).
     obs::ScopedSpan shards_span(ring, "flush.shards", epoch,

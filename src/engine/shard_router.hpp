@@ -46,13 +46,11 @@ class ShardRouter {
   /// `obs` (nullable in unit contexts) is the owning service's
   /// observability bundle: counters are bumped through its stats block
   /// and snapshot builds record stage timings into its histograms.
-  /// `incremental` arms the per-shard incremental snapshot builders
-  /// (ShardContraction): dirty shards patch the previous epoch's
-  /// arrays copy-on-write when the batch's structural footprint is
-  /// small; off, every dirty shard rebuilds from scratch (the baseline
-  /// the benchmark and the fuzz twin-service compare against).
+  /// Each dirty shard freezes through its ShardContraction: a
+  /// copy-on-write patch of the previous epoch's arrays when the
+  /// dendrogram's journal allows it, a fresh build otherwise.
   ShardRouter(vertex_id n, int num_shards, SpineIndex index,
-              std::shared_ptr<EngineObs> obs, bool incremental = true);
+              std::shared_ptr<EngineObs> obs);
 
   const ShardMap& shard_map() const { return map_; }
   int num_shards() const { return map_.num_shards; }
@@ -66,12 +64,12 @@ class ShardRouter {
   /// since `prev` reuse prev's per-shard snapshots; `capture_edges`
   /// additionally copies the full alive edge set into the snapshot for
   /// reference verification. The snapshot carries an EpochDelta (shard
-  /// rebuild flags + cross-edge churn accumulated since the previous
-  /// build) for view refreshes, and an EpochTrace: the caller
+  /// rebuild flags + the lightest changed cross weight since the
+  /// previous build) for view refreshes, and an EpochTrace: the caller
   /// seeds the pre-build stages (drain/apply) in `seed`, the router
   /// fills the shard-rebuild and cross-rebuild stages and freezes the
-  /// whole record into the snapshot. Clears the dirty flags and delta
-  /// accumulators.
+  /// whole record into the snapshot. Clears the dirty flags and the
+  /// cross minimum.
   std::shared_ptr<const EngineSnapshot> build_snapshot(
       uint64_t epoch, const EngineSnapshot* prev, bool capture_edges,
       obs::EpochTrace seed = {});
@@ -94,7 +92,7 @@ class ShardRouter {
 
   ShardMap map_;
   std::vector<std::unique_ptr<DynamicClustering>> shards_;
-  // Per-shard incremental snapshot builders (retained slot order;
+  // Per-shard snapshot builders (retained slot order;
   // contraction.hpp), 1:1 with shards_.
   std::vector<ShardContraction> contraction_;
   std::vector<char> dirty_;
@@ -114,8 +112,8 @@ class ShardRouter {
   std::shared_ptr<const CrossEdgeView> cross_view_;
   std::vector<Loc> locs_;  // by ticket
   std::shared_ptr<EngineObs> obs_;
-  // Aliasing handle on obs_->stats, so counter bumps stay one `->`.
-  std::shared_ptr<EngineStats> stats_;
+  // &obs_->stats (null without obs_), so counter bumps stay one `->`.
+  EngineStats* stats_;
 };
 
 }  // namespace dynsld::engine

@@ -9,10 +9,9 @@ namespace dynsld::engine {
 SldService::SldService(const ServiceConfig& cfg)
     : cfg_(cfg),
       obs_(std::make_shared<EngineObs>()),
-      stats_(EngineObs::stats_handle(obs_)),
-      queue_(stats_.get()),
-      router_(cfg.num_vertices, cfg.num_shards, SpineIndex::kLct, obs_,
-              cfg.incremental_snapshots) {
+      stats_(&obs_->stats),
+      queue_(stats_),
+      router_(cfg.num_vertices, cfg.num_shards, SpineIndex::kLct, obs_) {
   // Live gauges: point-in-time reads of the running service, cleared in
   // the destructor (the registry itself may outlive us via snapshots).
   obs_->registry.add_gauge("engine.epoch", [this] { return epoch(); });
@@ -84,11 +83,27 @@ bool SldService::erase(vertex_id u, vertex_id v) {
   return found;
 }
 
-uint64_t SldService::flush() {
+uint64_t SldService::flush() { return commit(nullptr); }
+
+uint64_t SldService::replay(uint64_t epoch, const MutationQueue::Drained& batch,
+                            ticket_t ticket_floor) {
+  const Replay r{epoch, batch, ticket_floor};
+  return commit(&r);
+}
+
+uint64_t SldService::commit(const Replay* replay) {
   EpochManager::Snap published;
   uint64_t e;
   {
     std::lock_guard<std::mutex> lk(flush_mu_);
+    if (replay) {
+      // Re-enqueue under the original tickets (the endpoint ledger then
+      // resolves exactly as it did before the crash) and force the
+      // epoch counter: replay republishes the exact historical
+      // sequence, and later flushes continue right after it.
+      queue_.restore(replay->batch, replay->ticket_floor);
+      next_epoch_ = replay->epoch;
+    }
     // Spans are tagged with the epoch this flush will publish if the
     // queue turns out non-empty (next_epoch_ is stable under the lock).
     const uint64_t e_tag = next_epoch_;
@@ -97,7 +112,7 @@ uint64_t SldService::flush() {
     obs::ScopedSpan drain_span(&obs_->trace, "flush.drain", e_tag,
                                obs_->flush_drain);
     MutationQueue::Drained batch = queue_.drain();
-    if (batch.empty()) {
+    if (batch.empty() && !replay) {
       // Nothing flushed: no epoch, no spans (an idle-timer wakeup is
       // not a pipeline stage). But an interval fsync policy still owes
       // its deadline: a burst followed by silence must not leave the
@@ -108,16 +123,21 @@ uint64_t SldService::flush() {
       return epochs_.cur_epoch();
     }
     uint64_t drain_ns = drain_span.stop();
-    stats_->flushes.fetch_add(1, std::memory_order_relaxed);
-    stats_->ops_applied.fetch_add(batch.size(), std::memory_order_relaxed);
-    stats_->bump_max_batch(batch.size());
+    if (!batch.empty()) {
+      stats_->flushes.fetch_add(1, std::memory_order_relaxed);
+      stats_->ops_applied.fetch_add(batch.size(), std::memory_order_relaxed);
+      stats_->bump_max_batch(batch.size());
+    }
+    // Replay re-enacts history that is already durable: it never logs,
+    // checkpoints or tees.
+    persist::PersistenceManager* pm = replay ? nullptr : persist_.get();
     // Write-ahead: the batch is durable (per the fsync policy) before
     // any of it mutates the shards, so a crash at any later point
     // replays to exactly this epoch.
-    if (persist_) persist_->log_batch(e_tag, batch);
+    if (pm) pm->log_batch(e_tag, batch);
     // Replication tee: the same record bytes the WAL got, handed to the
     // in-memory feed under the same lock (net/replication.hpp).
-    if (tap_.on_batch)
+    if (!replay && tap_.on_batch)
       tap_.on_batch(e_tag, persist::WalWriter::encode_record(e_tag, batch));
     obs::ScopedSpan apply_span(&obs_->trace, "flush.apply", e_tag,
                                obs_->flush_apply);
@@ -139,10 +159,10 @@ uint64_t SldService::flush() {
     publish_span.stop();
     // Checkpoint cadence (still under the flush lock: the live-edge
     // table and the published snapshot must agree).
-    if (persist_) {
-      const uint64_t ck_before = persist_->last_checkpoint();
-      persist_->on_publish(*published, queue_.next_ticket());
-      const uint64_t ck_after = persist_->last_checkpoint();
+    if (pm) {
+      const uint64_t ck_before = pm->last_checkpoint();
+      pm->on_publish(*published, queue_.next_ticket());
+      const uint64_t ck_after = pm->last_checkpoint();
       // A cadence checkpoint landed: tell the replication feed so it
       // can prune records the checkpoint now covers.
       if (ck_after != ck_before && tap_.on_checkpoint)
@@ -158,34 +178,6 @@ uint64_t SldService::flush() {
   subs_.notify(published);
   notify_span.stop();
   return e;
-}
-
-uint64_t SldService::restore_publish(uint64_t epoch) {
-  EpochManager::Snap published;
-  {
-    std::lock_guard<std::mutex> lk(flush_mu_);
-    MutationQueue::Drained batch = queue_.drain();
-    if (!batch.empty()) {
-      stats_->flushes.fetch_add(1, std::memory_order_relaxed);
-      stats_->ops_applied.fetch_add(batch.size(), std::memory_order_relaxed);
-      stats_->bump_max_batch(batch.size());
-      router_.apply(batch);
-    }
-    EpochManager::Snap prev = epochs_.acquire();
-    // Force the epoch counter: replay republishes the exact historical
-    // sequence, and post-recovery flushes continue right after it.
-    next_epoch_ = epoch;
-    uint64_t e = next_epoch_++;
-    obs::EpochTrace seed;
-    seed.ops = batch.size();
-    published =
-        router_.build_snapshot(e, prev.get(), cfg_.capture_edges, seed);
-    epochs_.publish(published);
-    // No persist hooks: recovery attaches persistence after replay, so
-    // nothing here can re-log or re-checkpoint.
-  }
-  subs_.notify(published);
-  return epoch;
 }
 
 void SldService::set_epoch_tap(EpochTap tap) {

@@ -32,8 +32,9 @@
 // separate surface. The sync surfaces — run() and the single-shot
 // conveniences — are thin submit-and-wait wrappers over one request.
 // Every publish notifies the SubscriptionHub, which wakes the broker's
-// dispatcher so its standing per-tau ThresholdViews refresh
-// incrementally against the epoch's delta (cluster_view.hpp).
+// dispatcher so its standing per-tau ThresholdViews move to the new
+// epoch: each either shares its previous resolution or resolves afresh
+// (cluster_view.hpp).
 #pragma once
 
 #include <chrono>
@@ -73,12 +74,6 @@ struct ServiceConfig {
   std::chrono::microseconds flush_interval{200};
   /// Epoch snapshots carry their full edge set (verification mode).
   bool capture_edges = false;
-  /// Dirty-shard snapshots patch the previous epoch's arrays
-  /// copy-on-write when the batch's structural footprint is small
-  /// (retained per-shard slot order; engine/contraction.hpp). Off:
-  /// every dirty shard rebuilds from scratch — the comparison baseline;
-  /// either way the published snapshots are bit-identical.
-  bool incremental_snapshots = true;
   /// Broker admission control: submits beyond this many in-flight
   /// requests are rejected with QueryError{kAdmissionRejected}.
   size_t broker_queue_depth = 4096;
@@ -219,26 +214,20 @@ class SldService {
   /// what persistence components take as their accounting sink.
   std::shared_ptr<EngineObs> obs_shared() const { return obs_; }
 
-  // ---- recovery plumbing (persist/persist.hpp drives these) ----
-  // The restore_* surface re-enacts history through the NORMAL
-  // mutation/flush path — recovery produces a real, mutable engine
-  // whose state is bit-for-bit the pre-crash one, not a frozen replica.
+  // ---- recovery plumbing (persist::recover and net::Replica) ----
 
-  /// Re-enqueue an insertion under its original ticket (no stats).
-  void restore_insert(ticket_t t, vertex_id u, vertex_id v, double w) {
-    queue_.restore_insert(t, u, v, w);
-  }
-  /// Re-enqueue an erase by original ticket (no stats).
-  void restore_erase(ticket_t t) { queue_.restore_erase(t); }
-  /// Raise the ticket counter to the checkpoint's floor.
-  void restore_ticket_floor(ticket_t floor) {
-    queue_.restore_ticket_floor(floor);
-  }
-  /// Drain + apply + publish exactly like flush(), but FORCE the
-  /// published epoch to `epoch` and publish even when the queue is
-  /// empty (replay must reproduce empty epochs too). Never logs to the
-  /// WAL — recovery attaches persistence only after replay completes.
-  uint64_t restore_publish(uint64_t epoch);
+  /// Re-enact one logged epoch through the normal flush path, so
+  /// recovery produces a real, mutable engine whose state is bit for
+  /// bit the logged one, not a frozen replica. `batch` is re-enqueued
+  /// under its original tickets (no enqueue stats), the ticket counter
+  /// rises to at least `ticket_floor`, and the batch applies and
+  /// publishes exactly as flush() would — but as epoch `epoch`, and
+  /// even when the batch is empty (replay reproduces empty epochs too).
+  /// A checkpoint replays as one insert batch of its live edges with
+  /// its ticket floor; a WAL record as its own batch. Never logs to
+  /// the WAL, checkpoints or fires the epoch tap. Returns `epoch`.
+  uint64_t replay(uint64_t epoch, const MutationQueue::Drained& batch,
+                  ticket_t ticket_floor = 0);
   /// Hand the service its persistence plane (WAL hooks engage on the
   /// next flush; the broker gains the checkpoint-rehydration tier).
   /// Called by the constructor for fresh persisted services and by
@@ -253,8 +242,8 @@ class SldService {
   /// exactly the WAL's byte framing; on_checkpoint fires (same lock)
   /// when a cadence checkpoint lands, with its epoch. Callbacks must be
   /// cheap and must not call flush() or submit(). Either hook may be
-  /// null; replace with {} to detach. Recovery's restore_publish never
-  /// fires the tap (a replica bootstraps from disk, not from replay).
+  /// null; replace with {} to detach. replay() never fires the tap (a
+  /// replica bootstraps from disk, not from replay).
   struct EpochTap {
     /// Fired per published epoch with the exact WAL record bytes.
     std::function<void(uint64_t epoch, const std::string& record)> on_batch;
@@ -268,6 +257,14 @@ class SldService {
   void set_epoch_tap(EpochTap tap);
 
  private:
+  /// The one drain -> apply -> build_snapshot -> publish -> notify
+  /// core behind flush() (`replay` null) and replay().
+  struct Replay {
+    uint64_t epoch;
+    const MutationQueue::Drained& batch;
+    ticket_t ticket_floor;
+  };
+  uint64_t commit(const Replay* replay);
   void writer_loop();
   void nudge_writer();
   /// Submit-and-wait on a one-element Latest request (the convenience
@@ -276,7 +273,7 @@ class SldService {
 
   ServiceConfig cfg_;
   std::shared_ptr<EngineObs> obs_;
-  std::shared_ptr<EngineStats> stats_;  // aliases obs_->stats
+  EngineStats* stats_;  // &obs_->stats
   MutationQueue queue_;
   ShardRouter router_;  // guarded by flush_mu_
   EpochManager epochs_;

@@ -346,13 +346,6 @@ struct EngineObs {
     persist_rehydrate = registry.add_histogram("persist.rehydrate");
     persist_recover = registry.add_histogram("persist.recover");
   }
-
-  /// Aliasing handle on the stats member: shares the bundle's lifetime,
-  /// so a snapshot holding it keeps the whole bundle alive.
-  static std::shared_ptr<EngineStats> stats_handle(
-      const std::shared_ptr<EngineObs>& obs) {
-    return obs ? std::shared_ptr<EngineStats>(obs, &obs->stats) : nullptr;
-  }
 };
 
 inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) {

@@ -3,9 +3,10 @@
 //   SldService::flush() ── publish ──> SubscriptionHub::notify(snap)
 //                                           │ (per registered callback)
 //                                           v
-//   QueryBroker dispatcher   wakes: AtLeastEpoch waiters unpark, the
-//                            standing per-tau ThresholdViews refresh
-//                            incrementally (cluster_view.hpp)
+//   QueryBroker dispatcher   wakes: AtLeastEpoch waiters unpark, each
+//                            standing per-tau ThresholdView moves to
+//                            the new epoch, sharing its resolution or
+//                            resolving afresh (cluster_view.hpp)
 //
 // Threading: notify() runs on whichever thread published the flush
 // (the background writer or a caller of flush()), with the hub lock

@@ -234,12 +234,9 @@ Replica::Replica(Options opt) : opt_(std::move(opt)) {
     persist::CheckpointData ck;
     if (!persist::CheckpointWriter::read(f.payload, &ck))
       throw std::runtime_error("Replica: corrupt bootstrap checkpoint");
-    // Mirror persist::recover(): live edges under original tickets,
-    // ticket floor, republish the checkpoint epoch.
-    for (const persist::LiveEdge& e : ck.live)
-      svc_->restore_insert(e.ticket, e.u, e.v, e.w);
-    svc_->restore_ticket_floor(ck.next_ticket);
-    svc_->restore_publish(ck.epoch);
+    // Mirror persist::recover(): the live edges as one batch under
+    // their original tickets and the checkpoint's ticket floor.
+    svc_->replay(ck.epoch, ck.live, ck.next_ticket);
     applied_ = ck.epoch;
   }
   live_ = true;
@@ -286,10 +283,7 @@ bool Replica::apply_record(const std::string& bytes) {
     cv_.notify_all();
     return false;
   }
-  for (const auto& op : rec.batch.inserts)
-    svc_->restore_insert(op.ticket, op.u, op.v, op.w);
-  for (const auto& op : rec.batch.erases) svc_->restore_erase(op.ticket);
-  svc_->restore_publish(rec.epoch);
+  svc_->replay(rec.epoch, rec.batch);
   if (auto obs = svc_->obs_shared())
     obs->stats.repl_records_applied.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);

@@ -23,8 +23,8 @@
 // no gap no matter when it attaches.
 //
 // A replica is a full SldService (non-persisted) fed only by the
-// stream: checkpoint applied through the restore path (live edges +
-// ticket floor + republish), then each record re-enacted in strict
+// stream: the checkpoint replayed as one epoch (live edges + ticket
+// floor, SldService::replay), then each record replayed in strict
 // epoch order — a gap or malformed record marks the replica desynced
 // and stops the tail, never applies garbage. Queries against a replica
 // go through its own broker, so AtLeastEpoch waits work at a lagging

@@ -77,8 +77,7 @@ void SnapshotCodec::encode(const engine::EngineSnapshot& snap,
 }
 
 engine::EpochManager::Snap SnapshotCodec::decode(
-    ByteReader& in, std::shared_ptr<engine::EngineStats> stats,
-    std::shared_ptr<engine::EngineObs> obs) {
+    ByteReader& in, std::shared_ptr<engine::EngineObs> obs) {
   auto snap = std::shared_ptr<engine::EngineSnapshot>(
       new engine::EngineSnapshot());
   snap->epoch_ = in.u64();
@@ -157,7 +156,6 @@ engine::EpochManager::Snap SnapshotCodec::decode(
     snap->edges_.push_back(e);
   }
   if (!in.ok()) return nullptr;
-  snap->stats_ = std::move(stats);
   snap->obs_ = std::move(obs);
   return snap;
 }
@@ -238,15 +236,15 @@ bool CheckpointWriter::read(const std::string& bytes, CheckpointData* out) {
   out->next_ticket = r.u64();
   uint64_t n_live = r.u64();
   if (n_live > r.remaining() / 24) return false;  // 24 B encoded each
-  out->live.clear();
-  out->live.reserve(static_cast<size_t>(n_live));
+  out->live = {};
+  out->live.inserts.reserve(static_cast<size_t>(n_live));
   for (uint64_t i = 0; i < n_live; ++i) {
     LiveEdge e;
     e.ticket = r.u64();
     e.u = r.u32();
     e.v = r.u32();
     e.w = r.f64();
-    out->live.push_back(e);
+    out->live.inserts.push_back(e);
   }
   if (!r.ok()) return false;
   out->snapshot_bytes.assign(payload + (len - r.remaining()), r.remaining());

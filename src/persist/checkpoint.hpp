@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "engine/epoch.hpp"
+#include "engine/mutation_queue.hpp"
 #include "engine/stats.hpp"
 #include "persist/bytes.hpp"
 #include "persist/file_backend.hpp"
@@ -53,12 +54,9 @@
 
 namespace dynsld::persist {
 
-/// One alive edge at checkpoint time, keyed by its insertion ticket.
-struct LiveEdge {
-  uint64_t ticket = 0;
-  uint32_t u = 0, v = 0;
-  double w = 0.0;
-};
+/// One alive edge at checkpoint time, keyed by its insertion ticket:
+/// the queue's own insert op, so a checkpoint replays as one batch.
+using LiveEdge = engine::MutationQueue::InsertOp;
 
 /// Byte codec for a full EngineSnapshot (friend of EngineSnapshot and
 /// DendrogramSnapshot — the one place their private arrays cross the
@@ -74,11 +72,10 @@ struct SnapshotCodec {
   static void encode_shard(const engine::DendrogramSnapshot& d,
                            ByteWriter& out);
   /// Rebuild a snapshot from codec bytes; null on malformed input.
-  /// `stats`/`obs` (nullable) become the decoded snapshot's accounting
-  /// sinks, normally the recovering service's own bundle.
+  /// `obs` (nullable) becomes the decoded snapshot's observability
+  /// bundle, normally the recovering service's own.
   static engine::EpochManager::Snap decode(
-      ByteReader& in, std::shared_ptr<engine::EngineStats> stats,
-      std::shared_ptr<engine::EngineObs> obs);
+      ByteReader& in, std::shared_ptr<engine::EngineObs> obs);
 };
 
 /// Everything one checkpoint file holds, decoded (the snapshot section
@@ -89,7 +86,9 @@ struct CheckpointData {
   /// ticket that ever existed, including erased ones absent from
   /// `live`.
   uint64_t next_ticket = 0;
-  std::vector<LiveEdge> live;
+  /// The live-edge table as one insert-only batch, ticket-ascending —
+  /// what SldService::replay re-enacts.
+  engine::MutationQueue::Drained live;
   /// SnapshotCodec bytes of the frozen EngineSnapshot.
   std::string snapshot_bytes;
 };

@@ -38,6 +38,11 @@ void PersistenceManager::require_fresh() const {
 void PersistenceManager::log_batch(
     uint64_t epoch, const engine::MutationQueue::Drained& batch) {
   wal_.append(epoch, batch);
+  track_live(batch);
+}
+
+void PersistenceManager::track_live(
+    const engine::MutationQueue::Drained& batch) {
   for (const auto& op : batch.inserts)
     live_[op.ticket] = Edge{op.u, op.v, op.w};
   for (const auto& op : batch.erases) live_.erase(op.ticket);
@@ -77,7 +82,7 @@ engine::EpochManager::Snap PersistenceManager::rehydrate(uint64_t epoch) {
   if (!CheckpointWriter::read(bytes, &data)) return nullptr;
   ByteReader in(data.snapshot_bytes);
   engine::EpochManager::Snap snap =
-      SnapshotCodec::decode(in, engine::EngineObs::stats_handle(obs_), obs_);
+      SnapshotCodec::decode(in, obs_);
   if (!snap || snap->epoch() != epoch) return nullptr;
   if (obs_)
     obs_->stats.asof_rehydrated.fetch_add(1, std::memory_order_relaxed);
@@ -132,18 +137,14 @@ RecoverResult recover(engine::ServiceConfig cfg,
     }
   }
   if (have_ck) {
-    for (const LiveEdge& e : ck.live) {
-      svc->restore_insert(e.ticket, e.u, e.v, e.w);
-      pm->seed_live(e.ticket, e.u, e.v, e.w);
-    }
-    svc->restore_ticket_floor(ck.next_ticket);
-    svc->restore_publish(ck.epoch);
+    svc->replay(ck.epoch, ck.live, ck.next_ticket);
+    pm->track_live(ck.live);
     pm->set_last_checkpoint(ck.epoch);
     res.checkpoint_epoch = ck.epoch;
   }
 
   // Replay WAL segments in epoch order, re-enacting each record past
-  // the checkpoint through the restore path. Replay halts at the first
+  // the checkpoint as one epoch. Replay halts at the first
   // tear; later segments (possible only after mid-file corruption) are
   // unreachable across the hole and are dropped.
   uint64_t published = svc->epoch();
@@ -179,15 +180,8 @@ RecoverResult recover(engine::ServiceConfig cfg,
         halted = true;
         break;
       }
-      for (const auto& op : rec.batch.inserts) {
-        svc->restore_insert(op.ticket, op.u, op.v, op.w);
-        pm->seed_live(op.ticket, op.u, op.v, op.w);
-      }
-      for (const auto& op : rec.batch.erases) {
-        svc->restore_erase(op.ticket);
-        pm->unseed_live(op.ticket);
-      }
-      svc->restore_publish(rec.epoch);
+      svc->replay(rec.epoch, rec.batch);
+      pm->track_live(rec.batch);
       published = rec.epoch;
       ++res.records_replayed;
     }

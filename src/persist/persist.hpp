@@ -24,10 +24,10 @@
 //
 //   1. load the newest checkpoint that validates (corrupt ones fall
 //      back to older files — checkpoints publish atomically);
-//   2. re-insert its live edges under their original tickets, restore
-//      the ticket floor, republish the checkpoint epoch;
-//   3. scan WAL segments in order and re-enact each record through the
-//      restore path, republishing the exact epoch sequence; a torn
+//   2. replay its live edges as one batch under their original
+//      tickets and ticket floor, republishing the checkpoint epoch;
+//   3. scan WAL segments in order and replay each record as its own
+//      batch, republishing the exact epoch sequence; a torn
 //      tail record is truncated away (bounded loss: whatever the fsync
 //      policy left volatile), and the segment resumes appending there;
 //   4. attach a PersistenceManager positioned to continue — same
@@ -83,6 +83,11 @@ class PersistenceManager {
   /// drain, before the apply) and fold it into the live-edge table.
   void log_batch(uint64_t epoch, const engine::MutationQueue::Drained& batch);
 
+  /// Fold a batch into the live-edge table: its inserts become alive,
+  /// its erases die. log_batch() runs it for every logged batch;
+  /// recover() for every replayed checkpoint and WAL record.
+  void track_live(const engine::MutationQueue::Drained& batch);
+
   /// Checkpoint cadence hook, called after every publish: every
   /// `checkpoint_every` epochs, write ckpt-<epoch>.bin, rotate the WAL
   /// segment to <epoch + 1>, and compact history past the retention
@@ -108,14 +113,8 @@ class PersistenceManager {
   /// past the interval). No-op under other policies.
   bool sync_if_due() { return wal_.sync_if_due(); }
 
-  // ---- recovery seeding (recover() drives these before attach) ----
+  // ---- recovery positioning (recover() drives these before attach) ----
 
-  /// Seed one alive edge into the live-edge table.
-  void seed_live(uint64_t ticket, vertex_id u, vertex_id v, double w) {
-    live_[ticket] = Edge{u, v, w};
-  }
-  /// Drop a ticket from the live-edge table (replayed erase).
-  void unseed_live(uint64_t ticket) { live_.erase(ticket); }
   /// The checkpoint epoch the cadence counts from.
   void set_last_checkpoint(uint64_t epoch) { last_checkpoint_epoch_ = epoch; }
   /// Epoch of the newest durable checkpoint (0 = none yet). Flush-lock

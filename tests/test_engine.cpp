@@ -225,7 +225,7 @@ TEST(ShardRouter, ReplacementSearchCounters) {
   svc.flush();
   EXPECT_EQ(svc.stats().msf_search_vertices, 3u);
   EXPECT_EQ(svc.stats().msf_search_scanned, 1u);
-  EXPECT_TRUE(svc.snapshot()->same_cluster(0, 3, 1.0));
+  EXPECT_TRUE(ThresholdView(svc.snapshot(), 1.0).same_cluster(0, 3));
 
   svc.erase(path[5]);  // (5, 6): a pure forest now, nothing to search
   svc.flush();
@@ -339,13 +339,14 @@ TEST(SldService, MatchesReferenceAcrossEpochs) {
       auto snap = svc.snapshot();
       for (double tau : {0.1, 0.35, 0.7}) {
         auto ref = reference_labels(n, snap->captured_edges(), tau);
-        expect_same_partition(ref, snap->flat_clustering(tau));
+        ThresholdView view(snap, tau);
+        expect_same_partition(ref, view.flat_clustering());
         for (int q = 0; q < 30; ++q) {
           vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-          EXPECT_EQ(snap->same_cluster(s, t, tau), ref[s] == ref[t]);
+          EXPECT_EQ(view.same_cluster(s, t), ref[s] == ref[t]);
         }
         vertex_id u = rng.next_bounded(n);
-        EXPECT_EQ(snap->cluster_size(u, tau), ref_cluster_size(ref, u));
+        EXPECT_EQ(view.cluster_size(u), ref_cluster_size(ref, u));
       }
     }
   }
@@ -388,16 +389,17 @@ TEST(SldService, ShardedMatchesReference) {
       auto snap = svc.snapshot();
       for (double tau : {0.15, 0.5, 0.9}) {
         auto ref = reference_labels(n, snap->captured_edges(), tau);
-        expect_same_partition(ref, snap->flat_clustering(tau));
+        ThresholdView view(snap, tau);
+        expect_same_partition(ref, view.flat_clustering());
         for (int q = 0; q < 40; ++q) {
           vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-          EXPECT_EQ(snap->same_cluster(s, t, tau), ref[s] == ref[t])
+          EXPECT_EQ(view.same_cluster(s, t), ref[s] == ref[t])
               << "s=" << s << " t=" << t << " tau=" << tau;
         }
         for (int q = 0; q < 10; ++q) {
           vertex_id u = rng.next_bounded(n);
-          EXPECT_EQ(snap->cluster_size(u, tau), ref_cluster_size(ref, u));
-          auto rep = snap->cluster_report(u, tau);
+          EXPECT_EQ(view.cluster_size(u), ref_cluster_size(ref, u));
+          auto rep = view.cluster_report(u);
           EXPECT_EQ(rep.size(), ref_cluster_size(ref, u));
         }
       }
@@ -469,10 +471,11 @@ TEST(SldService, StressReadersVsWriterMatchKruskalReference) {
         if (ref.empty())
           ref = reference_labels(n, snap->captured_edges(), tau);
         vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-        ASSERT_EQ(snap->same_cluster(s, t, tau), ref[s] == ref[t])
+        ThresholdView view(snap, tau);
+        ASSERT_EQ(view.same_cluster(s, t), ref[s] == ref[t])
             << "epoch " << snap->epoch() << " tau " << tau;
-        ASSERT_EQ(snap->cluster_size(s, tau), ref_cluster_size(ref, s));
-        expect_same_partition(ref, snap->flat_clustering(tau));
+        ASSERT_EQ(view.cluster_size(s), ref_cluster_size(ref, s));
+        expect_same_partition(ref, view.flat_clustering());
         checks.fetch_add(1, std::memory_order_relaxed);
         if (cache.size() > 8) cache.erase(cache.begin());
       }
@@ -642,12 +645,12 @@ TEST(ThresholdView, ResolvesCrossMergeOnce) {
   // Same epoch: the refresh is the identity, same resolution.
   EXPECT_EQ(ThresholdView::refreshed(tv, svc.snapshot()).get(), tv.get());
 
-  // The per-call conveniences pay one resolution per call — the view
+  // A transient view per call pays one resolution per call — the view
   // plane's amortization is real, not bookkeeping.
   uf_before = svc.stats().cross_uf_builds;
   auto snap = svc.snapshot();
-  snap->same_cluster(0, 21, 0.6);
-  snap->cluster_size(0, 0.6);
+  ThresholdView(snap, 0.6).same_cluster(0, 21);
+  ThresholdView(snap, 0.6).cluster_size(0);
   EXPECT_EQ(svc.stats().cross_uf_builds - uf_before, 2u);
 }
 
@@ -829,16 +832,17 @@ TEST(SldService, ShardLocalSpacesUnevenRanges) {
   EXPECT_EQ(snap->shard(3).num_vertices(), 11u);
   for (double tau : {0.2, 0.55, 0.85}) {
     auto ref = reference_labels(n, snap->captured_edges(), tau);
-    expect_same_partition(ref, snap->flat_clustering(tau));
+    ThresholdView view(snap, tau);
+    expect_same_partition(ref, view.flat_clustering());
     for (int q = 0; q < 60; ++q) {
       vertex_id s = rng.next_bounded(n), t = rng.next_bounded(n);
-      EXPECT_EQ(snap->same_cluster(s, t, tau), ref[s] == ref[t])
+      EXPECT_EQ(view.same_cluster(s, t), ref[s] == ref[t])
           << "s=" << s << " t=" << t << " tau=" << tau;
     }
     for (int q = 0; q < 15; ++q) {
       vertex_id u = rng.next_bounded(n);
-      EXPECT_EQ(snap->cluster_size(u, tau), ref_cluster_size(ref, u));
-      EXPECT_EQ(snap->cluster_report(u, tau).size(), ref_cluster_size(ref, u));
+      EXPECT_EQ(view.cluster_size(u), ref_cluster_size(ref, u));
+      EXPECT_EQ(view.cluster_report(u).size(), ref_cluster_size(ref, u));
     }
   }
 }

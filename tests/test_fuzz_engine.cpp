@@ -113,15 +113,6 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
   cfg.num_shards = sc.shards;
   cfg.capture_edges = true;
   SldService svc(cfg);
-  // Twin baseline: identical traffic with incremental snapshots OFF, so
-  // every dirty shard rebuilds from scratch. Whatever the patching
-  // builder produced for an epoch must match the twin's arrays
-  // byte-for-byte (SnapshotCodec::encode_shard is the canonical byte
-  // view) — this pins the copy-on-write contraction patch on every
-  // schedule of every scenario.
-  ServiceConfig bcfg = cfg;
-  bcfg.incremental_snapshots = false;
-  SldService baseline(bcfg);
   // By value: the epoch-0 snapshot this comes from is superseded later.
   const ShardMap map = svc.snapshot()->shard_map();
 
@@ -158,44 +149,24 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
     if (step >= sc.prefill && !live.empty() &&
         rng.next_double() < sc.erase_prob) {
       size_t j = rng.next_bounded(live.size());
-      if (rng.next_double() < 0.5) {
+      if (rng.next_double() < 0.5)
         svc.erase(live[j].ticket);
-        baseline.erase(live[j].ticket);  // tickets align: same inserts
-      } else {
+      else
         EXPECT_TRUE(svc.erase(live[j].u, live[j].v));
-        EXPECT_TRUE(baseline.erase(live[j].u, live[j].v));
-      }
       live[j] = live.back();
       live.pop_back();
     } else {
       auto [u, v] = pick_insert();
-      double w = rng.next_double();
-      live.push_back(LiveEdge{svc.insert(u, v, w), u, v});
-      baseline.insert(u, v, w);
+      live.push_back(LiveEdge{svc.insert(u, v, rng.next_double()), u, v});
     }
     if (step % sc.flush_every != sc.flush_every - 1) continue;
 
     uint64_t epoch = svc.flush();
-    ASSERT_EQ(baseline.flush(), epoch);
     auto snap = svc.snapshot();
     ASSERT_EQ(snap->epoch(), epoch);
     for (auto& view : chain) {
       view = ThresholdView::refreshed(view, snap);
       ASSERT_EQ(view->epoch(), epoch);
-    }
-
-    // (0) Patched per-shard snapshots are byte-identical to the twin's
-    // from-scratch builds.
-    {
-      auto bsnap = baseline.snapshot();
-      for (int k = 0; k < sc.shards; ++k) {
-        persist::ByteWriter pa, pb;
-        persist::SnapshotCodec::encode_shard(snap->shard(k), pa);
-        persist::SnapshotCodec::encode_shard(bsnap->shard(k), pb);
-        ASSERT_EQ(pa.bytes(), pb.bytes())
-            << "patched shard diverges from fresh build, shard=" << k
-            << " epoch=" << epoch;
-      }
     }
 
     std::map<double, std::shared_ptr<const ThresholdView>> fresh_at;
@@ -585,11 +556,12 @@ TEST(FuzzEngine, RecoverAndDiffReplaysSchedulesBitForBit) {
   }
 }
 
-// The patch-path differential: one big shard under erase-heavy SMALL
-// batches must take the incremental patch path while staying
-// byte-identical to a from-scratch twin and the Kruskal oracle, and the
-// patched bytes must survive persist::recover() (whose replay rebuilds
-// through the restore path) unchanged.
+// The patch path end to end: one big shard under erase-heavy SMALL
+// batches must take the copy-on-write patch path while agreeing with
+// the Kruskal oracle, and the patched bytes must survive
+// persist::recover() (whose replay re-freezes every epoch) unchanged.
+// Patch-vs-fresh-build byte identity per epoch is pinned at the shard
+// level (test_snapshot.cpp, ShardContractionOracle).
 TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
   namespace fs = std::filesystem;
   const vertex_id n = 1024;
@@ -604,14 +576,10 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
   cfg.retain_epochs = 64;
   cfg.persist.dir = dir.string();
   cfg.persist.checkpoint_every = 5;
-  ServiceConfig bcfg = cfg;
-  bcfg.incremental_snapshots = false;
-  bcfg.persist.dir.clear();
 
   std::map<uint64_t, std::string> shard_bytes;  // epoch -> encoded shard 0
   {
     SldService svc(cfg);
-    SldService baseline(bcfg);
     par::Rng rng(20260808);
     uint64_t widx = 0;
     // Distinct weights (injective map modulo a prime): ties would make
@@ -623,9 +591,7 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
     };
     std::vector<LiveEdge> live;
     auto ins = [&](vertex_id u, vertex_id v) {
-      double w = next_weight();
-      live.push_back(LiveEdge{svc.insert(u, v, w), u, v});
-      baseline.insert(u, v, w);
+      live.push_back(LiveEdge{svc.insert(u, v, next_weight()), u, v});
     };
     // Bulk load: a path over the whole shard plus random chords.
     for (vertex_id v = 0; v + 1 < n; ++v) ins(v, v + 1);
@@ -633,8 +599,7 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
       auto [u, v] = test::random_distinct_pair(rng, n);
       ins(u, v);
     }
-    uint64_t e0 = svc.flush();
-    ASSERT_EQ(baseline.flush(), e0);
+    svc.flush();
 
     EngineStats::Report last_before;  // counters before the last flush
     for (int round = 0; round < 10; ++round) {
@@ -642,7 +607,6 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
         if (!live.empty() && rng.next_double() < 0.7) {
           size_t j = rng.next_bounded(live.size());
           svc.erase(live[j].ticket);
-          baseline.erase(live[j].ticket);
           live[j] = live.back();
           live.pop_back();
         } else {
@@ -652,13 +616,9 @@ TEST(FuzzEngine, IncrementalShardPatchEraseHeavySmallBatches) {
       }
       last_before = svc.stats();
       uint64_t e = svc.flush();
-      ASSERT_EQ(baseline.flush(), e);
       auto snap = svc.snapshot();
-      auto bsnap = baseline.snapshot();
-      persist::ByteWriter pa, pb;
+      persist::ByteWriter pa;
       persist::SnapshotCodec::encode_shard(snap->shard(0), pa);
-      persist::SnapshotCodec::encode_shard(bsnap->shard(0), pb);
-      ASSERT_EQ(pa.bytes(), pb.bytes()) << "round " << round;
       shard_bytes[e] = pa.bytes();
       for (double tau : {0.3, 0.7}) {
         auto ref = reference_labels(n, snap->captured_edges(), tau);

@@ -488,7 +488,7 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   persist::ByteWriter w;
   persist::SnapshotCodec::encode(*snap, w);
   persist::ByteReader r(w.bytes().data(), w.bytes().size());
-  auto decoded = persist::SnapshotCodec::decode(r, nullptr, nullptr);
+  auto decoded = persist::SnapshotCodec::decode(r, nullptr);
   ASSERT_TRUE(decoded);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.remaining(), 0u);
@@ -505,7 +505,7 @@ TEST(Checkpoint, SnapshotCodecRoundTripIsByteExact) {
   EXPECT_EQ(w.bytes(), w2.bytes());
   // Malformed input degrades to null, never UB: truncate mid-stream.
   persist::ByteReader half(w.bytes().data(), w.bytes().size() / 2);
-  EXPECT_EQ(persist::SnapshotCodec::decode(half, nullptr, nullptr), nullptr);
+  EXPECT_EQ(persist::SnapshotCodec::decode(half, nullptr), nullptr);
 }
 
 /// Version 5 changed the shard and delta encodings (no v endpoint
@@ -585,10 +585,10 @@ TEST(Checkpoint, DecodeRejectsIndexOutsideItsTable) {
     std::string bytes = full.bytes();
     bytes.replace(at + entry, 4, w.bytes());
     persist::ByteReader in(bytes.data(), bytes.size());
-    return persist::SnapshotCodec::decode(in, nullptr, nullptr) != nullptr;
+    return persist::SnapshotCodec::decode(in, nullptr) != nullptr;
   };
   persist::ByteReader whole(full.bytes().data(), full.bytes().size());
-  EXPECT_NE(persist::SnapshotCodec::decode(whole, nullptr, nullptr), nullptr);
+  EXPECT_NE(persist::SnapshotCodec::decode(whole, nullptr), nullptr);
   EXPECT_FALSE(decodes_with(parent_at, 1u << 28)) << "parent_[0]";
   EXPECT_FALSE(decodes_with(leaf_parent_at, 1u << 28)) << "leaf_parent_[0]";
   EXPECT_FALSE(decodes_with(u_at, n)) << "u_[0]";
@@ -773,6 +773,51 @@ TEST(Persist, TicketAndLedgerContinuityAfterRecovery) {
   svc.flush();
   EXPECT_TRUE(svc.same_cluster(6, 7, 0.5));
   EXPECT_FALSE(svc.same_cluster(0, 1, 0.99));
+}
+
+/// SldService::replay re-enacts exactly one logged epoch: forced epoch
+/// numbers (empty epochs included), original tickets, the checkpoint's
+/// ticket floor, the endpoint ledger, and no enqueue stats or tap.
+TEST(Persist, ReplayReenactsOneEpoch) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 16;
+  SldService svc(cfg);
+  int tapped = 0;
+  svc.set_epoch_tap({[&](uint64_t, const std::string&) { ++tapped; },
+                     [&](uint64_t) { ++tapped; }});
+
+  // A checkpoint: live edges under their tickets, plus a floor above an
+  // erased-then-forgotten ticket (30).
+  MutationQueue::Drained ck;
+  ck.inserts = {{7, 0, 1, 0.1}, {9, 2, 3, 0.2}};
+  EXPECT_EQ(svc.replay(12, ck, 31), 12u);
+  EXPECT_EQ(svc.epoch(), 12u);
+  EXPECT_TRUE(ThresholdView(svc.snapshot(), 0.5).same_cluster(2, 3));
+
+  // A WAL record erasing ticket 9, then an empty epoch.
+  MutationQueue::Drained rec;
+  rec.erases = {{9}};
+  svc.replay(13, rec);
+  svc.replay(14, {});
+  EXPECT_EQ(svc.epoch(), 14u);
+  EXPECT_EQ(svc.snapshot()->epoch(), 14u);
+  EXPECT_FALSE(ThresholdView(svc.snapshot(), 0.5).same_cluster(2, 3));
+
+  const EngineStats::Report r = svc.stats();
+  EXPECT_EQ(r.inserts_enqueued, 0u);
+  EXPECT_EQ(r.erases_enqueued, 0u);
+  EXPECT_EQ(r.flushes, 2u);  // the empty epoch publishes but applies nothing
+  EXPECT_EQ(tapped, 0);
+
+  // Live traffic continues after the replayed history: tickets above
+  // the floor, the ledger resolves the replayed edge, the next epoch
+  // follows the last replayed one, and the tap fires again.
+  EXPECT_EQ(svc.insert(4, 5, 0.3), 31u);
+  EXPECT_TRUE(svc.erase(vertex_id{0}, vertex_id{1}));
+  EXPECT_FALSE(svc.erase(vertex_id{2}, vertex_id{3}));
+  EXPECT_EQ(svc.flush(), 15u);
+  EXPECT_EQ(tapped, 1);
+  EXPECT_FALSE(ThresholdView(svc.snapshot(), 0.5).same_cluster(0, 1));
 }
 
 // ---- crash injection --------------------------------------------------

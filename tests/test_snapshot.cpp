@@ -6,15 +6,21 @@
 // the same dendrogram, at every distinct node weight exactly (where a
 // jump lands on a node whose weight equals tau) plus one threshold
 // below the lightest and one above the heaviest node.
+//
+// ShardContractionOracle drives the patch path the way the router
+// does, over a DynamicClustering (MSF + DynSLD) under random batches,
+// and pins it byte for byte to a fresh build at every epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <memory>
 #include <vector>
 
 #include "dynsld/dyn_sld.hpp"
 #include "engine/contraction.hpp"
+#include "msf/dynamic_msf.hpp"
 #include "engine/snapshot.hpp"
 #include "persist/bytes.hpp"
 #include "persist/checkpoint.hpp"
@@ -99,7 +105,7 @@ void check_fresh_and_patched(DynSLD& sld, Mutate mutate) {
   par::Rng rng = test::test_rng();
   expect_matches_naive(sld, *DendrogramSnapshot::build(sld, kBase), rng);
 
-  ShardContraction contraction(/*incremental=*/true);
+  ShardContraction contraction;
   ShardContraction::PatchStats ps;
   auto prev = contraction.advance(sld, kBase, nullptr, ps);
   ASSERT_FALSE(ps.patched);
@@ -183,6 +189,118 @@ TEST(SnapshotTopOf, TiedWeights) {
     return 0.25 * static_cast<double>(1 + r.next_bounded(3));
   });
 }
+
+/// Codec bytes of one shard snapshot: the canonical byte view.
+std::string shard_bytes(const DendrogramSnapshot& d) {
+  persist::ByteWriter w;
+  persist::SnapshotCodec::encode_shard(d, w);
+  return w.take();
+}
+
+/// One shard's freeze under the router's access pattern: random
+/// erase-then-insert batches through DynamicClustering (tree erases
+/// with live non-tree edges, so replacement searches rewire the
+/// forest), three tied weight values, skipped epochs in which the
+/// shard stays clean (prev pointer unchanged, no advance), and one
+/// oversized batch that must fail the viability check.
+/// Every advance() must encode exactly like DendrogramSnapshot::build
+/// of the same dendrogram.
+class ShardContractionOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ShardContractionOracle, PatchedEqualsFreshBuildEveryEpoch) {
+  const vertex_id n = 240;
+  par::Rng rng(GetParam());
+  DynamicClustering dc(n);
+  std::vector<DynamicClustering::graph_edge> alive;
+  auto weight = [&] {
+    return 0.25 * static_cast<double>(1 + rng.next_bounded(3));
+  };
+  auto random_inserts = [&](size_t k) {
+    std::vector<DynamicClustering::EdgeUpdate> batch;
+    for (size_t i = 0; i < k; ++i) {
+      auto [u, v] = test::random_distinct_pair(rng, n);
+      batch.push_back({u, v, weight()});
+    }
+    return batch;
+  };
+  auto insert = [&](const std::vector<DynamicClustering::EdgeUpdate>& batch) {
+    for (auto g : dc.insert_edges(batch)) alive.push_back(g);
+  };
+  // Erase `k` alive edges; half the picks look for a tree edge.
+  auto erase = [&](size_t k) {
+    std::vector<DynamicClustering::graph_edge> batch;
+    for (size_t i = 0; i < k && !alive.empty(); ++i) {
+      size_t j = rng.next_bounded(alive.size());
+      if (rng.next_double() < 0.5)
+        for (int probe = 0; probe < 8 && !dc.is_tree_edge(alive[j]); ++probe)
+          j = rng.next_bounded(alive.size());
+      batch.push_back(alive[j]);
+      alive[j] = alive.back();
+      alive.pop_back();
+    }
+    dc.erase_edges(batch);
+  };
+
+  // A sparse forest plus chords: cycles give tree erases replacements.
+  insert(random_inserts(n / 3));
+  ShardContraction contraction;
+  ShardContraction::PatchStats ps;
+  auto prev = contraction.advance(dc.sld(), kBase, nullptr, ps);
+  ASSERT_FALSE(ps.patched);
+  ASSERT_EQ(shard_bytes(*prev),
+            shard_bytes(*DendrogramSnapshot::build(dc.sld(), kBase)));
+
+  size_t patched = 0, fallbacks = 0, skipped = 0;
+  for (int epoch = 1; epoch <= 80; ++epoch) {
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << GetParam() << " epoch " << epoch);
+    if (epoch == 20) {
+      // Oversized: link ~half as many components as the forest has
+      // nodes, with edges heavier than any other. Each new root only
+      // re-parents the two it joins, so the journal stays under its
+      // cap, but the edits cover over half the nodes and the exact
+      // viability check must reject the patch.
+      std::vector<vertex_id> comp(n);
+      std::iota(comp.begin(), comp.end(), 0);
+      auto find = [&](vertex_id x) {
+        while (comp[x] != x) x = comp[x] = comp[comp[x]];
+        return x;
+      };
+      for (const WeightedEdge& e : dc.forest_edges())
+        comp[find(e.u)] = find(e.v);
+      std::vector<DynamicClustering::EdgeUpdate> heavy;
+      const size_t want = prev->num_nodes() / 2 + 1;
+      for (int tries = 0; heavy.size() < want && tries < 100 * n; ++tries) {
+        auto [u, v] = test::random_distinct_pair(rng, n);
+        if (find(u) == find(v)) continue;
+        comp[find(u)] = find(v);
+        heavy.push_back({u, v, 1.0});
+      }
+      ASSERT_EQ(heavy.size(), want) << "too few components to link";
+      insert(heavy);
+    } else if (rng.next_double() < 0.15) {  // the shard stays clean
+      ++skipped;
+      continue;
+    } else {
+      erase(rng.next_bounded(5));
+      insert(random_inserts(rng.next_bounded(6)));
+    }
+    auto snap = contraction.advance(dc.sld(), kBase, prev.get(), ps);
+    patched += ps.patched;
+    fallbacks += ps.fallback;
+    ASSERT_EQ(shard_bytes(*snap),
+              shard_bytes(*DendrogramSnapshot::build(dc.sld(), kBase)))
+        << (ps.patched ? "patched" : "rebuilt");
+    prev = snap;
+  }
+  EXPECT_GT(patched, 0u);
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(dc.search_stats().replacements, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShardContractionOracle,
+                         ::testing::Range<uint64_t>(1, 11));
 
 }  // namespace
 }  // namespace dynsld::engine

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs hygiene for the engine's public surface and the docs/ tree.
 
-Two checks, both enforced by CI (and runnable locally from anywhere):
+Three checks, all enforced by CI (and runnable locally from anywhere):
 
   1. Public-API comment coverage over src/engine/*.hpp,
      src/net/*.hpp, src/obs/*.hpp and src/persist/*.hpp.
@@ -22,6 +22,11 @@ Two checks, both enforced by CI (and runnable locally from anywhere):
   2. Markdown link integrity over docs/*.md and README.md.
      Every relative link target must exist on disk, and a `#fragment`
      pointing into a markdown file must match one of its heading slugs.
+
+  3. Counter catalog completeness. Every counter in the
+     DYNSLD_ENGINE_COUNTERS list (src/engine/stats.hpp) must appear,
+     spelled out in backticks, in the counter table of
+     docs/OBSERVABILITY.md (the table under its "Counters" heading).
 
 Exit status is the number of problems found (0 == clean).
 """
@@ -219,6 +224,33 @@ def check_header(path: pathlib.Path) -> list[str]:
     return problems
 
 
+COUNTERS_HPP = "src/engine/stats.hpp"
+COUNTERS_DOC = "docs/OBSERVABILITY.md"
+
+
+def check_counter_catalog() -> list[str]:
+    """Every DYNSLD_ENGINE_COUNTERS entry must be named in the counter
+    table that follows the doc's "### Counters" heading."""
+    hpp = (ROOT / COUNTERS_HPP).read_text()
+    m = re.search(r"#define DYNSLD_ENGINE_COUNTERS\(X\)(.*?)\n\s*\n", hpp,
+                  re.S)
+    if not m:
+        return [f"{COUNTERS_HPP}: DYNSLD_ENGINE_COUNTERS list not found"]
+    counters = re.findall(r"\bX\((\w+)\)", m.group(1))
+    table: list[str] = []
+    in_section = False
+    for line in (ROOT / COUNTERS_DOC).read_text().splitlines():
+        if line.startswith("#"):
+            if in_section:
+                break
+            in_section = line.startswith("### Counters")
+        elif in_section and line.startswith("|"):
+            table.append(line)
+    named = set(re.findall(r"`(\w+)`", "\n".join(table)))
+    return [f"{COUNTERS_DOC}: counter table omits engine counter "
+            f"`{c}` ({COUNTERS_HPP})" for c in counters if c not in named]
+
+
 HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
@@ -280,6 +312,7 @@ def main() -> int:
     for pattern in DOC_FILES:
         for md in sorted(ROOT.glob(pattern)):
             problems += check_links(md)
+    problems += check_counter_catalog()
     for p in problems:
         print(p)
     if problems:
