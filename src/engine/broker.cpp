@@ -131,6 +131,7 @@ void QueryBroker::abort_intake() {
 }
 
 std::future<ResultSet> QueryBroker::prepare(QueryRequest&& req, bool stopped,
+                                            bool allow_inline,
                                             Request** out) {
   *out = nullptr;
   // Fast-fail paths resolve the future before returning, so the
@@ -171,6 +172,10 @@ std::future<ResultSet> QueryBroker::prepare(QueryRequest&& req, bool stopped,
       if (req.on_complete) req.on_complete();
       return fut;
     }
+  }
+  if (allow_inline) {
+    std::future<ResultSet> fut;
+    if (serve_inline(req, now, &fut)) return fut;
   }
 
   // Admission control: respect the configured depth or reject now.
@@ -228,9 +233,68 @@ std::future<ResultSet> QueryBroker::prepare(QueryRequest&& req, bool stopped,
   return fut;
 }
 
+bool QueryBroker::serve_inline(const QueryRequest& req,
+                               std::chrono::steady_clock::time_point submitted,
+                               std::future<ResultSet>* out) {
+  for (const Query& q : req.queries)
+    if (!std::holds_alternative<SameClusterQuery>(q) &&
+        !std::holds_alternative<ClusterSizeQuery>(q))
+      return false;
+  std::shared_ptr<const InlineTable> t;
+  {
+    std::lock_guard<std::mutex> lk(inline_mu_);
+    t = inline_;
+  }
+  if (!t) return false;
+  if (const auto* ae = std::get_if<AtLeastEpoch>(&req.consistency)) {
+    if (ae->epoch > t->epoch) return false;
+  } else if (!std::holds_alternative<Latest>(req.consistency)) {
+    return false;
+  }
+  // A publish the dispatcher has not carried the views to yet: queue,
+  // so the answer is never older than the published epoch.
+  if (t->epoch != epochs_.cur_epoch()) return false;
+  auto slot = [&t](double tau) -> size_t {
+    auto it = std::lower_bound(t->taus.begin(), t->taus.end(), tau);
+    if (it == t->taus.end() || *it != tau) return t->taus.size();
+    return static_cast<size_t>(it - t->taus.begin());
+  };
+  // Check every tau before running any query, so a miss runs no work.
+  for (const Query& q : req.queries)
+    if (slot(query_tau(q)) == t->taus.size()) return false;
+
+  ResultSet rs;
+  rs.epoch = t->epoch;
+  rs.results.reserve(req.queries.size());
+  for (const Query& q : req.queries) {
+    const size_t i = slot(query_tau(q));
+    rs.results.push_back(t->views[i]->run(q));
+    if (!t->hit[i].load(std::memory_order_relaxed))
+      t->hit[i].store(true, std::memory_order_relaxed);
+  }
+  if (stats_) {
+    stats_->broker_submits.fetch_add(1, std::memory_order_relaxed);
+    stats_->broker_inline_served.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (obs_ && req.client != 0) {
+    ClientStats* cs = obs_->clients.get(req.client);
+    cs->submitted.fetch_add(1, std::memory_order_relaxed);
+    cs->fulfilled.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::promise<ResultSet> p;
+  p.set_value(std::move(rs));
+  *out = p.get_future();
+  if (obs_)
+    obs_->broker_fulfill->record(
+        elapsed_ns(submitted, std::chrono::steady_clock::now()));
+  if (req.on_complete) req.on_complete();
+  return true;
+}
+
 std::future<ResultSet> QueryBroker::submit(QueryRequest req) {
   Request* r = nullptr;
-  std::future<ResultSet> fut = prepare(std::move(req), stopped_.load(), &r);
+  std::future<ResultSet> fut =
+      prepare(std::move(req), stopped_.load(), /*allow_inline=*/true, &r);
   if (!r) return fut;
   bool was_empty = push_chain(r, r);
   if (stopped_.load())
@@ -249,7 +313,7 @@ std::vector<std::future<ResultSet>> QueryBroker::submit_batch(
   const bool stopped = stopped_.load();
   for (QueryRequest& req : reqs) {
     Request* r = nullptr;
-    futs.push_back(prepare(std::move(req), stopped, &r));
+    futs.push_back(prepare(std::move(req), stopped, /*allow_inline=*/false, &r));
     if (!r) continue;
     // Build the local chain; one CAS splices the whole batch, so the
     // dispatcher is guaranteed to see it in a single cycle.
@@ -292,6 +356,10 @@ void QueryBroker::shutdown() {
   }
   parked_.clear();
   views_.clear();
+  {
+    std::lock_guard<std::mutex> lk(inline_mu_);
+    inline_.reset();
+  }
   if (hub_token_) {
     hub_.remove(hub_token_);
     hub_token_ = 0;
@@ -520,6 +588,23 @@ void QueryBroker::dispatch_cycle() {
     views_[g.tau] = CachedView{g.view, cycle_};
     used.insert(g.tau);
   }
+  // Inline answers since the last table count as use this cycle. A hit
+  // flagged on the old table after this read is dropped; a tau still
+  // being read is flagged again on the new table.
+  std::shared_ptr<const InlineTable> prev;
+  {
+    std::lock_guard<std::mutex> lk(inline_mu_);
+    prev = inline_;
+  }
+  if (prev) {
+    for (size_t i = 0; i < prev->taus.size(); ++i) {
+      if (!prev->hit[i].load(std::memory_order_relaxed)) continue;
+      auto it = views_.find(prev->taus[i]);
+      if (it == views_.end()) continue;
+      it->second.last_used = cycle_;
+      used.insert(prev->taus[i]);
+    }
+  }
   for (auto it = views_.begin(); it != views_.end();) {
     CachedView& cv = it->second;
     if (cycle_ - cv.last_used > kIdleEvictCycles) {
@@ -539,6 +624,21 @@ void QueryBroker::dispatch_cycle() {
       else
         it = views_.erase(it);
     }
+  }
+  // Publish the survivors, all at cur's epoch now, for submit()'s
+  // inline path.
+  auto table = std::make_shared<InlineTable>();
+  table->epoch = cur->epoch();
+  table->taus.reserve(views_.size());
+  table->views.reserve(views_.size());
+  for (const auto& [tau, cv] : views_) {
+    table->taus.push_back(tau);
+    table->views.push_back(cv.view);
+  }
+  table->hit = std::vector<std::atomic<bool>>(views_.size());
+  {
+    std::lock_guard<std::mutex> lk(inline_mu_);
+    inline_ = std::move(table);
   }
 
   // Drain-abort pass (abort_waiters): anything still parked after this

@@ -1,17 +1,14 @@
-// QueryBroker: the asynchronous front door of the read plane.
+// QueryBroker: the front door of the read plane. Every read enters
+// through submit() (or submit_batch()); there is no second read path.
 //
-// PRs 1-4 built a read surface that amortizes beautifully *within* one
-// caller (a ThresholdView shares its merge resolution across every
-// query at its tau) but not *across* callers: two clients asking at
-// the same tau in the same epoch each resolve their own transient
-// view, and there is no backpressure, deadline, or cancellation story
-// at all. The broker closes that gap by making submission asynchronous
-// and dispatch batched:
-//
-//   client A ── submit(QueryRequest) ──> lock-free intake ─┐
-//   client B ── submit(...)          ──>       (MPSC stack)│
-//   client C ── submit_batch(...)    ──>                   │ drain
-//                                                          v
+//   client A ── submit(QueryRequest) ──┬─> ready point request?
+//                                      │     answer inline, on the
+//                                      │     caller's thread, from the
+//                                      │     published view table
+//                                      v
+//   client B ── submit(...)          ──>  lock-free intake ─┐
+//   client C ── submit_batch(...)    ──>    (MPSC stack)    │ drain
+//                                                           v
 //   SubscriptionHub publish signal ──> dispatcher thread:
 //   micro-batch timer             ──>   expire past-deadline / cancelled
 //                                       park AtLeastEpoch waiters
@@ -22,32 +19,53 @@
 //                                        forward per epoch)
 //                                       execute groups in parallel
 //                                       fulfill the futures
+//                                       publish the view table
 //
 // The request envelope (QueryRequest, query.hpp) carries the typed
 // Query payload plus a deadline, a consistency mode (Latest /
-// AtLeastEpoch / Pinned), and a CancelToken. A request that cannot be
-// served — deadline passed, cancelled while queued, intake over the
-// configured queue depth (admission control), or broker shutdown —
-// resolves its future with a typed QueryError and NEVER executes any
-// query work. No future is ever left dangling: shutdown resolves
-// everything still in flight.
+// AtLeastEpoch / Pinned / AsOf), and a CancelToken. A request that
+// cannot be served — deadline passed, cancelled while queued, intake
+// over the configured queue depth (admission control), or broker
+// shutdown — resolves its future with a typed QueryError and NEVER
+// executes any query work. No future is ever left dangling: shutdown
+// resolves everything still in flight.
 //
-// Amortization: all Latest requests of one dispatch cycle share the
-// cycle's epoch, so concurrent clients at one tau collapse into a
+// Inline answers: at the end of every dispatch cycle the standing
+// views have all been carried to the cycle's epoch, and the dispatcher
+// publishes them as an immutable table (epoch, sorted taus, one view
+// per tau). submit() answers a request on the caller's thread, with a
+// ready future, when the fast-fail checks pass and ALL of these hold:
+//
+//   - every query is a SameClusterQuery or a ClusterSizeQuery (the
+//     O(log h) point reads);
+//   - the consistency is Latest, or AtLeastEpoch{e} with e <= the
+//     table's epoch;
+//   - the table's epoch is the published epoch (cur_epoch()), so a
+//     request submitted after flush() returns never reads older state;
+//   - every query's tau has a view in the table.
+//
+// Anything else queues exactly as below. An inline answer takes no
+// admission slot (it never queues), counts in broker_submits and
+// broker_inline_served, records broker.fulfill and fires on_complete
+// once. It marks its table entry as hit; the dispatcher folds the hits
+// into the cache's idle clock, so a tau read only inline stays cached.
+//
+// Amortization: all queued Latest requests of one dispatch cycle share
+// the cycle's epoch, so concurrent clients at one tau collapse into a
 // single (epoch, tau) group backed by one ThresholdView — one cross-UF
 // resolution no matter how many clients asked (test_broker pins it
 // through views_built/broker_groups). The view cache is carried across
 // epochs through ThresholdView::refreshed, so steady-state traffic at
 // stable taus pays at most one resolve per epoch and tau, and none when
 // the epoch left the view's cross prefix and blob-hosting shards alone.
-// Latest, Pinned{snap} and AsOf{epoch} all route through this one
-// executor; there is no second read path.
+// submit_batch() always queues, so its requests share one cycle.
 //
-// Threading: submit()/submit_batch() are thread-safe and lock-free on
-// the intake path (one CAS per request chain plus a wakeup). The
-// dispatcher is one background thread; group execution fans out on the
-// global fork-join scheduler. Futures may outlive the broker — the
-// shared state keeps them valid; they just resolve with
+// Threading: submit()/submit_batch() are thread-safe. The intake path
+// is lock-free (one CAS per request chain plus a wakeup); the inline
+// path takes one short mutex to copy the table pointer. The dispatcher
+// is one background thread; group execution fans out on the global
+// fork-join scheduler. Futures may outlive the broker — the shared
+// state keeps them valid; they just resolve with
 // QueryError{kShutdown} if the broker died first.
 #pragma once
 
@@ -103,17 +121,18 @@ class QueryBroker {
   QueryBroker(const QueryBroker&) = delete;
   QueryBroker& operator=(const QueryBroker&) = delete;
 
-  /// Enqueue one request; returns the future of its ResultSet. The
+  /// Submit one request; returns the future of its ResultSet. The
   /// future throws QueryError from get() when the request expired, was
   /// cancelled or rejected at intake, or the broker shut down — in all
   /// of which cases none of its queries executed. An empty request
-  /// completes immediately with the current epoch.
+  /// completes immediately with the current epoch; a ready point
+  /// request is answered inline (see the header comment).
   std::future<ResultSet> submit(QueryRequest req);
 
   /// Enqueue several requests as one atomic intake splice (a single
   /// CAS): the dispatcher sees them in the same cycle, so their shared
-  /// (epoch, tau) groups are guaranteed to collapse. futures[i] belongs
-  /// to reqs[i].
+  /// (epoch, tau) groups are guaranteed to collapse. Never answers
+  /// inline. futures[i] belongs to reqs[i].
   std::vector<std::future<ResultSet>> submit_batch(
       std::vector<QueryRequest> reqs);
 
@@ -186,14 +205,32 @@ class QueryBroker {
     std::vector<std::pair<Request*, uint32_t>> items;  // (request, query idx)
   };
 
+  /// The standing views as of one dispatch cycle, published for
+  /// submit()'s inline path. Immutable except for the hit flags.
+  struct InlineTable {
+    uint64_t epoch = 0;
+    std::vector<double> taus;  // ascending; views[i] is resolved at taus[i]
+    std::vector<std::shared_ptr<const ThresholdView>> views;
+    // hit[i]: views[i] answered an inline request since publication.
+    mutable std::vector<std::atomic<bool>> hit;
+  };
+
   static std::future<ResultSet> error_future(QueryErrorCode code);
   /// Shared submit front half: fast-fail (shutdown / cancelled /
-  /// expired / completable-empty) or admit one request. On fast paths
-  /// returns the already-resolved future with *out null; on admission
-  /// returns the live future and hands the allocated request back in
-  /// *out for the caller to splice into the intake.
+  /// expired / completable-empty), answer inline (when `allow_inline`
+  /// and the request is ready, see the header comment) or admit one
+  /// request. On fast and inline paths returns the already-resolved
+  /// future with *out null; on admission returns the live future and
+  /// hands the allocated request back in *out for the caller to splice
+  /// into the intake.
   std::future<ResultSet> prepare(QueryRequest&& req, bool stopped,
-                                 Request** out);
+                                 bool allow_inline, Request** out);
+  /// Answer `req` from the published view table if it qualifies; on
+  /// success the resolved future lands in *out. Runs no query work
+  /// unless every query can be answered.
+  bool serve_inline(const QueryRequest& req,
+                    std::chrono::steady_clock::time_point submitted,
+                    std::future<ResultSet>* out);
   /// Push a pre-linked [first..last] chain with one CAS. Returns true
   /// when the intake was empty — the only case that needs a nudge (a
   /// non-empty intake already has one pending, and the dispatcher
@@ -231,6 +268,9 @@ class QueryBroker {
   // cuts the parked waiters loose.
   std::atomic<bool> abort_waiters_{false};
 
+  std::mutex inline_mu_;  // guards inline_ (submitters vs dispatcher)
+  std::shared_ptr<const InlineTable> inline_;
+
   std::mutex rehydrate_mu_;  // guards rehydrate_ (set vs dispatcher read)
   Rehydrator rehydrate_;
 
@@ -241,8 +281,9 @@ class QueryBroker {
   std::thread dispatcher_;
 
   /// One standing-cache entry: the resolved view plus the dispatch
-  /// cycle that last used it (idle entries are evicted, so per-publish
-  /// refresh work is bounded by the actively queried taus).
+  /// cycle that last used it, by a queued group or an inline answer
+  /// (idle entries are evicted, so per-publish refresh work is bounded
+  /// by the actively queried taus).
   struct CachedView {
     std::shared_ptr<const ThresholdView> view;
     uint64_t last_used = 0;

@@ -190,9 +190,9 @@ class CancelSource {
 };
 
 /// Consistency mode: answer at whatever epoch is current when the
-/// request dispatches (the default; all Latest requests of one dispatch
-/// cycle share one epoch, which is what makes them groupable across
-/// clients).
+/// request is answered (the default; all queued Latest requests of one
+/// dispatch cycle share one epoch, which is what makes them groupable
+/// across clients; an inline answer uses the published epoch).
 struct Latest {};
 
 /// Consistency mode: hold the request until an epoch >= `epoch` is
@@ -246,7 +246,8 @@ struct QueryRequest {
   uint64_t client = 0;
   /// Completion hook: invoked exactly once, after the future is ready
   /// (fulfilled OR resolved with a QueryError), on whichever thread
-  /// resolved it — possibly the submitting thread for fast-fail paths.
+  /// resolved it — the submitting thread, inside submit(), for
+  /// fast-fail paths and for point requests answered inline.
   /// Must be cheap and must not submit or block: the RpcServer uses it
   /// to wake its poll loop instead of parking a reaper thread per
   /// future. Null (the default) means no notification.

@@ -76,7 +76,8 @@ namespace dynsld::engine {
   X(labels_patched)                                                       \
   X(labels_reused)                                                        \
   /* -- broker (async request plane) -- */                                \
-  X(broker_submits)       /* requests accepted at intake */               \
+  X(broker_submits)       /* accepted (inline or queued) */               \
+  X(broker_inline_served) /* answered on the submitting thread */         \
   X(broker_batches)       /* dispatch cycles with groups */               \
   X(broker_groups)        /* (epoch, tau) groups resolved */              \
   X(broker_group_requests) /* per-group distinct requests */              \
@@ -384,10 +385,12 @@ inline void print_report(const EngineStats::Report& r, std::FILE* out = stdout) 
   if (r.broker_submits || r.broker_admission_rejects ||
       r.broker_deadline_expired)
     std::fprintf(out,
-                 "broker: %llu submits  %llu cycles  %llu groups (%.1f "
-                 "reqs/group)  %llu epoch-waits  depth max %llu  rejected "
-                 "%llu  expired %llu  cancelled %llu  aborted %llu\n",
+                 "broker: %llu submits (%llu inline)  %llu cycles  %llu "
+                 "groups (%.1f reqs/group)  %llu epoch-waits  depth max "
+                 "%llu  rejected %llu  expired %llu  cancelled %llu  "
+                 "aborted %llu\n",
                  (unsigned long long)r.broker_submits,
+                 (unsigned long long)r.broker_inline_served,
                  (unsigned long long)r.broker_batches,
                  (unsigned long long)r.broker_groups, r.avg_group_requests(),
                  (unsigned long long)r.broker_epoch_waits,

@@ -225,10 +225,10 @@ bool RpcServer::handle_frame(Conn& c, Frame&& f) {
         return false;
       }
       req.client = c.client_id;
-      // The hook may fire synchronously (fast-fail paths) — before the
-      // pending_ insert below. Safe: completions are only drained
-      // later in the same loop iteration, by which time the entry
-      // exists.
+      // The hook may fire synchronously, on this thread (fast-fail
+      // paths and inline answers) — before the pending_ insert below.
+      // Safe: completions are only drained later in the same loop
+      // iteration, by which time the entry exists.
       req.on_complete = [cq = cq_, cid = c.id, rid] { cq->push(cid, rid); };
       pending_[{c.id, rid}] = svc_.submit(std::move(req));
       break;

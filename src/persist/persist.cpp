@@ -149,6 +149,16 @@ RecoverResult recover(engine::ServiceConfig cfg,
   // unreachable across the hole and are dropped.
   uint64_t published = svc->epoch();
   std::string resume;  // segment the writer should continue appending to
+  // A segment is appendable only where the next record (published + 1)
+  // keeps its epochs consecutive: its last record is the replayed tip,
+  // or it holds none and is named for the next epoch. Otherwise (e.g. a
+  // torn segment the checkpoint already covers) the writer opens
+  // wal-<published+1> instead.
+  auto appendable = [&published](const WalReader::Scan& scan,
+                                 uint64_t first_epoch) {
+    return scan.records.empty() ? first_epoch == published + 1
+                                : scan.records.back().epoch == published;
+  };
   bool halted = false;
   size_t si = 0;
   for (; si < segs.size() && !halted; ++si) {
@@ -189,10 +199,9 @@ RecoverResult recover(engine::ServiceConfig cfg,
       backend->truncate(path, scan.valid_bytes);
       res.torn_tail_truncated = true;
       halted = true;
-      resume = name;  // truncated to a record boundary: appendable
-    } else if (!halted) {
-      resume = name;
     }
+    if (!halted || scan.torn)
+      resume = appendable(scan, segs[si]) ? name : std::string();
   }
   if (halted) {
     for (size_t j = si; j < segs.size(); ++j)

@@ -6,11 +6,16 @@
 // admission control, and shutdown all resolve futures with the right
 // typed QueryError and — counter-asserted — never execute any query
 // work. Amortization: concurrent clients' requests at one (epoch, tau)
-// share a single merge resolution.
+// share a single merge resolution. Inline answers: a Latest point
+// request whose tau has a standing view at the published epoch is
+// answered inside submit(), at an epoch no older than the last flush,
+// exactly like the queued path would.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -46,6 +51,33 @@ void seed_two_shards(SldService& svc, par::Rng& rng) {
     svc.insert(rng.next_bounded(20), 20 + rng.next_bounded(20),
                0.1 + 0.4 * rng.next_double());
   svc.flush();
+}
+
+/// Dispatch cycles completed so far. A cycle publishes the inline view
+/// table before it records here, so once the count moves past a value
+/// read before a flush, the table holds the flushed epoch.
+uint64_t cycles(const EngineObs& obs) {
+  return obs.broker_cycle->snapshot().count;
+}
+
+/// Spin until more than `before` dispatch cycles have completed.
+void wait_cycle(const EngineObs& obs, uint64_t before) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (cycles(obs) <= before) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "dispatcher never completed a cycle";
+    std::this_thread::sleep_for(100us);
+  }
+}
+
+/// Make `tau` a standing view: one queued request creates it, and the
+/// cycle that served it publishes the inline table.
+void stand_view(SldService& svc, double tau) {
+  const uint64_t before = cycles(svc.obs());
+  QueryRequest req;
+  req.queries = {ClusterSizeQuery{0, tau}};
+  svc.submit_batch({req})[0].get();  // submit_batch never answers inline
+  wait_cycle(svc.obs(), before);
 }
 
 /// QueryErrorCode of the error a future resolves with; fails the test
@@ -455,6 +487,315 @@ TEST(QueryBroker, FulfillmentHistogramTracksCompletedRequests) {
 
   // The dispatcher's own cycle instrumentation ran too.
   EXPECT_GT(svc.obs().broker_cycle->snapshot().count, 0u);
+}
+
+/// Once a tau has a standing view, Latest point requests at it are
+/// answered inside submit(): the future is ready on return, no dispatch
+/// cycle runs, and the answers equal a pinned view's. Anything else —
+/// a non-point query, Pinned, a tau without a view — still queues.
+TEST(QueryBroker, InlineServesLatestPointReadsOnceViewStands) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+  const double tau = 0.6;
+  stand_view(svc, tau);
+
+  auto before = svc.stats();
+  const uint64_t cycles_before = cycles(svc.obs());
+  auto snap = svc.snapshot();
+  ThresholdView tv(snap, tau);
+  for (int i = 0; i < 20; ++i) {
+    auto [s, t] = test::random_distinct_pair(rng, 40);
+    QueryRequest req;
+    req.queries = {SameClusterQuery{s, t, tau}, ClusterSizeQuery{s, tau}};
+    if (i % 2) req.consistency = AtLeastEpoch{snap->epoch()};
+    auto fut = svc.submit(std::move(req));
+    ASSERT_EQ(fut.wait_for(0s), std::future_status::ready);
+    ResultSet rs = fut.get();
+    EXPECT_EQ(rs.epoch, snap->epoch());
+    EXPECT_EQ(std::get<bool>(rs.results[0]), tv.same_cluster(s, t));
+    EXPECT_EQ(std::get<uint64_t>(rs.results[1]), tv.cluster_size(s));
+  }
+  auto after = svc.stats();
+  EXPECT_EQ(after.broker_inline_served - before.broker_inline_served, 20u);
+  EXPECT_EQ(after.broker_submits - before.broker_submits, 20u);
+  EXPECT_EQ(after.broker_groups, before.broker_groups);
+  EXPECT_EQ(cycles(svc.obs()), cycles_before);
+  EXPECT_EQ(svc.broker().depth(), 0u);
+
+  // Not eligible: a label query, a pinned snapshot, an unviewed tau.
+  std::vector<QueryRequest> queued(3);
+  queued[0].queries = {ClusterSizeQuery{1, tau}, NumClustersQuery{tau}};
+  queued[1].queries = {ClusterSizeQuery{1, tau}};
+  queued[1].consistency = Pinned{snap};
+  queued[2].queries = {ClusterSizeQuery{1, 0.3}};
+  for (QueryRequest& req : queued) {
+    ResultSet rs = svc.submit(std::move(req)).get();
+    EXPECT_EQ(rs.epoch, snap->epoch());
+  }
+  EXPECT_EQ(svc.stats().broker_inline_served, after.broker_inline_served);
+  EXPECT_EQ(svc.stats().broker_groups - after.broker_groups, 3u);
+}
+
+/// A request submitted after flush() returns never reads an older
+/// epoch: right after a publish the table may still hold the previous
+/// epoch, and the request then queues.
+TEST(QueryBroker, InlineAnswersAreNeverOlderThanTheLastFlush) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+  const double tau = 0.6;
+  stand_view(svc, tau);
+  for (int i = 0; i < 60; ++i) {
+    auto [u, v] = test::random_distinct_pair(rng, 40);
+    svc.insert(u, v, rng.next_double());
+    const uint64_t e = svc.flush();
+    QueryRequest req;
+    req.queries = {SameClusterQuery{u, v, tau}};
+    ResultSet rs = svc.submit(std::move(req)).get();
+    ASSERT_GE(rs.epoch, e);
+    if (i % 8 == 0)  // pace some rounds so both paths get exercised
+      std::this_thread::sleep_for(1ms);
+  }
+}
+
+/// The stale-table fallback, made deterministic: a broker over an
+/// epoch manager it is not told about (no hub notification) keeps its
+/// table at the old epoch, so a request after the publish must queue
+/// and be answered at the new epoch; the cycle that serves it refreshes
+/// the table, and the next request is inline again.
+TEST(QueryBroker, StaleInlineTableFallsBackToTheQueue) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+
+  EpochManager epochs;
+  SubscriptionHub hub;
+  auto obs = std::make_shared<EngineObs>();
+  epochs.publish(svc.snapshot());
+  QueryBroker broker(epochs, hub, obs, QueryBroker::Options{});
+  const double tau = 0.6;
+  auto point = [&](Consistency c = Latest{}) {
+    QueryRequest req;
+    req.queries = {ClusterSizeQuery{5, tau}};
+    req.consistency = c;
+    return req;
+  };
+  uint64_t before = cycles(*obs);
+  const uint64_t e1 = broker.submit(point()).get().epoch;
+  wait_cycle(*obs, before);
+  EXPECT_EQ(broker.submit(point()).get().epoch, e1);
+  EXPECT_EQ(obs->stats.broker_inline_served.load(), 1u);
+
+  svc.insert(1, 25, 0.2);  // a sub-tau cross edge: the answer changes
+  const uint64_t e2 = svc.flush();
+  epochs.publish(svc.snapshot());  // no hub notify: the table is stale
+  // Waiting for an epoch the table has not reached also queues.
+  before = cycles(*obs);
+  ResultSet rs = broker.submit(point(AtLeastEpoch{e2})).get();
+  EXPECT_EQ(rs.epoch, e2);
+  EXPECT_EQ(std::get<uint64_t>(rs.results[0]),
+            ThresholdView(svc.snapshot(), tau).cluster_size(5));
+  EXPECT_EQ(obs->stats.broker_inline_served.load(), 1u);
+  wait_cycle(*obs, before);
+
+  svc.insert(2, 30, 0.25);
+  const uint64_t e3 = svc.flush();
+  epochs.publish(svc.snapshot());
+  before = cycles(*obs);
+  EXPECT_EQ(broker.submit(point()).get().epoch, e3);  // Latest: queued too
+  EXPECT_EQ(obs->stats.broker_inline_served.load(), 1u);
+  wait_cycle(*obs, before);
+  rs = broker.submit(point()).get();
+  EXPECT_EQ(rs.epoch, e3);
+  EXPECT_EQ(obs->stats.broker_inline_served.load(), 2u);
+  EXPECT_EQ(std::get<uint64_t>(rs.results[0]),
+            ThresholdView(svc.snapshot(), tau).cluster_size(5));
+  broker.shutdown();
+}
+
+/// Cancelled, expired and after-shutdown requests resolve with their
+/// typed errors even when a standing view could answer them inline:
+/// the fast-fail checks run first, and no query work happens.
+TEST(QueryBroker, ErrorPathsPrecedeInlineAnswers) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+  const double tau = 0.6;
+  stand_view(svc, tau);
+
+  const uint64_t q_before = executed_queries(svc);
+  auto point = [&] {
+    QueryRequest req;
+    req.queries = {SameClusterQuery{1, 2, tau}};
+    return req;
+  };
+  CancelSource cancel;
+  cancel.request_cancel();
+  QueryRequest cancelled = point();
+  cancelled.cancel = cancel.token();
+  auto f1 = svc.submit(std::move(cancelled));
+  EXPECT_EQ(error_code_of(f1), QueryErrorCode::kCancelled);
+
+  QueryRequest expired = point();
+  expired.deadline = std::chrono::steady_clock::now() - 1ms;
+  auto f2 = svc.submit(std::move(expired));
+  EXPECT_EQ(error_code_of(f2), QueryErrorCode::kDeadlineExceeded);
+
+  svc.broker().shutdown();
+  auto f3 = svc.submit(point());
+  EXPECT_EQ(error_code_of(f3), QueryErrorCode::kShutdown);
+
+  EXPECT_EQ(executed_queries(svc), q_before);
+  EXPECT_EQ(svc.stats().broker_inline_served, 0u);
+  EXPECT_EQ(svc.stats().broker_cancelled, 1u);
+  EXPECT_EQ(svc.stats().broker_deadline_expired, 1u);
+}
+
+/// on_complete fires exactly once for an inline answer, on the
+/// submitting thread, before submit() returns.
+TEST(QueryBroker, InlineAnswerFiresOnCompleteOnce) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+  const double tau = 0.6;
+  stand_view(svc, tau);
+
+  std::atomic<int> fired{0};
+  std::thread::id fired_on;
+  QueryRequest req;
+  req.queries = {ClusterSizeQuery{3, tau}};
+  req.on_complete = [&] {
+    fired_on = std::this_thread::get_id();
+    fired.fetch_add(1);
+  };
+  auto fut = svc.submit(std::move(req));
+  EXPECT_EQ(fired.load(), 1);
+  EXPECT_EQ(fired_on, std::this_thread::get_id());
+  EXPECT_EQ(svc.stats().broker_inline_served, 1u);
+  fut.get();
+  std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(fired.load(), 1);
+  EXPECT_EQ(svc.obs().broker_fulfill->snapshot().count, 2u);  // + stand_view
+}
+
+/// A tau read only through the inline path stays cached: its table
+/// hits count as use, so it survives far more than kIdleEvictCycles
+/// (16) publishes, and every read after each publish is inline at the
+/// new epoch — no queued group ever re-creates the view.
+TEST(QueryBroker, InlineOnlyViewSurvivesIdleEviction) {
+  ServiceConfig cfg;
+  cfg.num_vertices = 40;
+  cfg.num_shards = 2;
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  seed_two_shards(svc, rng);
+  const double tau = 0.6;
+  stand_view(svc, tau);
+
+  const auto before = svc.stats();
+  for (int round = 0; round < 40; ++round) {
+    const uint64_t c = cycles(svc.obs());
+    auto [u, v] = test::random_distinct_pair(rng, 40);
+    svc.insert(u, v, rng.next_double());
+    const uint64_t e = svc.flush();
+    wait_cycle(svc.obs(), c);
+    QueryRequest req;
+    req.queries = {SameClusterQuery{u, v, tau}};
+    ResultSet rs = svc.submit(std::move(req)).get();
+    ASSERT_EQ(rs.epoch, e) << "round " << round;
+    ASSERT_EQ(svc.stats().broker_inline_served - before.broker_inline_served,
+              static_cast<uint64_t>(round + 1))
+        << "round " << round << ": the view was evicted";
+  }
+  EXPECT_EQ(svc.stats().broker_groups, before.broker_groups);
+}
+
+/// Inline reads racing publish and refresh: two readers submit point
+/// queries while a writer publishes more than 200 epochs. Per reader
+/// the answer epochs never go backwards, and every answer equals a
+/// view pinned at its epoch. (The TSan leg runs this.)
+TEST(QueryBroker, InlineReadsRacePublishAndRefresh) {
+  const vertex_id n = 64;
+  ServiceConfig cfg;
+  cfg.num_vertices = n;
+  cfg.num_shards = 2;
+  cfg.retain_epochs = 512;  // every answered epoch stays pinnable
+  SldService svc(cfg);
+  par::Rng rng = test::test_rng();
+  for (int i = 0; i < 40; ++i) {
+    auto [u, v] = test::random_distinct_pair(rng, n);
+    svc.insert(u, v, rng.next_double());
+  }
+  svc.flush();
+  const double taus[2] = {0.3, 0.7};
+  for (double tau : taus) stand_view(svc, tau);
+
+  struct Answer {
+    Query q;
+    uint64_t epoch;
+    QueryResult result;
+  };
+  std::atomic<bool> done{false};
+  auto reader = [&](uint64_t seed, std::vector<Answer>* out) {
+    par::Rng r(seed);
+    uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire) && out->size() < 20000) {
+      const double tau = taus[r.next_bounded(2)];
+      auto [u, v] = test::random_distinct_pair(r, n);
+      Query q = r.next_bounded(2) ? Query{SameClusterQuery{u, v, tau}}
+                                  : Query{ClusterSizeQuery{u, tau}};
+      QueryRequest req;
+      req.queries = {q};
+      ResultSet rs = svc.submit(std::move(req)).get();
+      EXPECT_GE(rs.epoch, last);
+      last = rs.epoch;
+      out->push_back({q, rs.epoch, std::move(rs.results[0])});
+    }
+  };
+  std::vector<Answer> a1, a2;
+  std::thread r1(reader, 11, &a1), r2(reader, 12, &a2);
+  const uint64_t first = svc.epoch();
+  for (int i = 0; i < 220; ++i) {
+    for (int k = 0; k < 3; ++k) {
+      auto [u, v] = test::random_distinct_pair(rng, n);
+      svc.insert(u, v, rng.next_double());
+    }
+    svc.flush();
+  }
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+  EXPECT_GT(svc.epoch() - first, 200u);
+  EXPECT_GT(svc.stats().broker_inline_served, 0u);
+
+  std::map<std::pair<uint64_t, double>, std::unique_ptr<ThresholdView>> pinned;
+  for (const auto* answers : {&a1, &a2}) {
+    for (const Answer& a : *answers) {
+      auto& tv = pinned[{a.epoch, query_tau(a.q)}];
+      if (!tv) {
+        auto snap = svc.snapshot_at(a.epoch);
+        ASSERT_TRUE(snap) << "epoch " << a.epoch;
+        tv = std::make_unique<ThresholdView>(snap, query_tau(a.q));
+      }
+      ASSERT_TRUE(a.result == tv->run(a.q)) << "epoch " << a.epoch;
+    }
+  }
 }
 
 }  // namespace

@@ -23,6 +23,12 @@
 //   3. refresh bookkeeping: the chain serves exactly the published
 //      epoch.
 //
+// The sampled point queries (same-cluster, cluster-size) then go
+// through the broker both ways — one Latest submit() each, answered
+// inline from the standing views, and all of them as one queued
+// submit_batch() — and both must agree with the fresh views bit for
+// bit.
+//
 // Seeds are printed on failure (SCOPED_TRACE) for replay; set
 // DYNSLD_FUZZ_SEEDS to scale the run (default 1250 schedules across
 // the scenarios — CI's TSan leg runs fewer), or DYNSLD_FUZZ_SEED to
@@ -173,6 +179,7 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
     for (double tau : taus)
       fresh_at.emplace(tau, std::make_shared<const ThresholdView>(snap, tau));
     std::vector<Query> label_queries;
+    std::vector<Query> point_queries;  // the sampled (2) point reads
     for (int i = 0; i < 3; ++i) {
       const double tau = taus[i];
       SCOPED_TRACE("epoch=" + std::to_string(epoch) +
@@ -207,9 +214,11 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
         ASSERT_EQ(subv->same_cluster(s, t), ref[s] == ref[t])
             << "s=" << s << " t=" << t;
         ASSERT_EQ(fresh->same_cluster(s, t), ref[s] == ref[t]);
+        point_queries.push_back(SameClusterQuery{s, t, tau});
       }
       vertex_id u = static_cast<vertex_id>(rng.next_bounded(sc.n));
       ASSERT_EQ(subv->cluster_size(u), ref_cluster_size(ref, u));
+      point_queries.push_back(ClusterSizeQuery{u, tau});
       // Reports may order members differently across refresh histories;
       // compare as sets.
       auto rep_sub = subv->cluster_report(u);
@@ -276,7 +285,39 @@ void run_schedule(const Scenario& sc, uint64_t seed) {
         }
       }
     }
+
+    // (5) The point reads both ways. (3) and (4) queued at every tau,
+    // and (4) was served by a later dispatch cycle than (3), so the
+    // view table at this epoch is up: each single Latest submit() is
+    // answered inline, while submit_batch() always queues.
+    {
+      const uint64_t inline_before = svc.stats().broker_inline_served;
+      std::vector<QueryRequest> batch;
+      for (const Query& q : point_queries) {
+        SCOPED_TRACE("inline point query");
+        QueryRequest req;
+        req.queries = {q};
+        batch.push_back(req);
+        ResultSet rs = svc.submit(std::move(req)).get();
+        ASSERT_EQ(rs.epoch, epoch);
+        ASSERT_TRUE(rs.results[0] == fresh_at.at(query_tau(q))->run(q));
+      }
+      ASSERT_EQ(svc.stats().broker_inline_served - inline_before,
+                point_queries.size());
+      auto futs = svc.submit_batch(std::move(batch));
+      for (size_t i = 0; i < futs.size(); ++i) {
+        SCOPED_TRACE("queued point query i=" + std::to_string(i));
+        ResultSet rs = futs[i].get();
+        ASSERT_EQ(rs.epoch, epoch);
+        ASSERT_TRUE(rs.results[0] ==
+                    fresh_at.at(query_tau(point_queries[i]))
+                        ->run(point_queries[i]));
+      }
+      ASSERT_EQ(svc.stats().broker_inline_served - inline_before,
+                point_queries.size());
+    }
   }
+  EXPECT_GT(svc.stats().broker_inline_served, 0u);
 }
 
 class FuzzEngine : public ::testing::TestWithParam<int> {};

@@ -18,11 +18,14 @@ Usage:
 
   python3 tools/walctl.py list <dir>
       One line per file: name, size, epoch range, record/edge counts,
-      and validation status (OK / TORN at byte N / CORRUPT).
+      and validation status (OK / TORN at byte N / CORRUPT / GAP).
 
   python3 tools/walctl.py verify <dir>
-      Re-checks every CRC in every file. Exit 0 when all clean, 1 when
-      any segment is torn or any checkpoint corrupt.
+      Re-checks every CRC in every file and the epoch continuity of
+      every segment: its records must be consecutive epochs, none below
+      the epoch in its name (GAP lists the offending epochs). Exit 0
+      when all clean, 1 when any segment is torn or gapped or any
+      checkpoint corrupt.
 
   python3 tools/walctl.py cat <dir>/wal-....log
       Dump each record (epoch, inserts, erases) as JSON lines.
@@ -154,20 +157,37 @@ def durable_files(dirpath):
     return segs, ckpts
 
 
+def epoch_gaps(name, epochs):
+    """Continuity faults of one segment's record epochs, as strings: a
+    record below the segment's name epoch, or a step that is not +1."""
+    first = int(WAL_RE.match(name).group(1))
+    gaps = []
+    if epochs and epochs[0] < first:
+        gaps.append(f"{epochs[0]} < name epoch {first}")
+    for prev, cur in zip(epochs, epochs[1:]):
+        if cur != prev + 1:
+            gaps.append(f"{prev}->{cur}")
+    return gaps
+
+
 def describe_seg(dirpath, name):
+    """(dirty, listing line) of one WAL segment."""
     with open(os.path.join(dirpath, name), "rb") as f:
         data = f.read()
     s = scan_wal(data)
-    if s.error:
-        status = f"CORRUPT ({s.error})"
-    elif s.torn:
-        status = f"TORN at byte {s.valid_bytes}"
-    else:
-        status = "OK"
     epochs = [r[0] for r in s.records]
+    gaps = epoch_gaps(name, epochs)
+    faults = []
+    if s.error:
+        faults.append(f"CORRUPT ({s.error})")
+    elif s.torn:
+        faults.append(f"TORN at byte {s.valid_bytes}")
+    if gaps:
+        faults.append("GAP (" + ", ".join(gaps) + ")")
+    status = ", ".join(faults) or "OK"
     span = f"epochs {epochs[0]}..{epochs[-1]}" if epochs else "empty"
     ops = sum(len(r[1]) + len(r[2]) for r in s.records)
-    return s, (f"{name}  {len(data):>10} B  {span:<24} "
+    return bool(faults), (f"{name}  {len(data):>10} B  {span:<24} "
                f"{len(s.records):>5} rec {ops:>6} ops  {status}")
 
 
@@ -189,8 +209,8 @@ def cmd_list(args):
         dirty |= reason is not None
         print(line)
     for name in segs:
-        s, line = describe_seg(args.dir, name)
-        dirty |= s.torn or s.error is not None
+        seg_dirty, line = describe_seg(args.dir, name)
+        dirty |= seg_dirty
         print(line)
     if not segs and not ckpts:
         print(f"{args.dir}: no durable state")
