@@ -21,6 +21,9 @@ SldService::SldService(const ServiceConfig& cfg)
   obs_->registry.add_gauge("broker.depth", [this] {
     return static_cast<uint64_t>(broker_ ? broker_->depth() : 0);
   });
+  obs_->registry.add_gauge("engine.wal_poisoned", [this] {
+    return uint64_t{wal_poisoned_.load(std::memory_order_relaxed)};
+  });
   // AsOf retention: superseded epochs stay queryable from memory.
   epochs_.set_retention(cfg_.retain_epochs);
   // Epoch 0: the empty snapshot, so readers never see a null view.
@@ -133,11 +136,14 @@ uint64_t SldService::commit(const Replay* replay) {
     persist::PersistenceManager* pm = replay ? nullptr : persist_.get();
     // Write-ahead: the batch is durable (per the fsync policy) before
     // any of it mutates the shards, so a crash at any later point
-    // replays to exactly this epoch.
-    if (pm) pm->log_batch(e_tag, batch);
+    // replays to exactly this epoch. A poisoned WAL refuses the record;
+    // the epoch still publishes, but nothing durable backs it.
+    const bool logged = !pm || pm->log_batch(e_tag, batch);
+    if (!logged) wal_poisoned_.store(true, std::memory_order_relaxed);
     // Replication tee: the same record bytes the WAL got, handed to the
-    // in-memory feed under the same lock (net/replication.hpp).
-    if (!replay && tap_.on_batch)
+    // in-memory feed under the same lock (net/replication.hpp). An
+    // unlogged epoch is not teed: replicas never run ahead of the log.
+    if (!replay && logged && tap_.on_batch)
       tap_.on_batch(e_tag, persist::WalWriter::encode_record(e_tag, batch));
     obs::ScopedSpan apply_span(&obs_->trace, "flush.apply", e_tag,
                                obs_->flush_apply);

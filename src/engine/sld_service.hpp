@@ -37,6 +37,7 @@
 // (cluster_view.hpp).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -239,13 +240,14 @@ class SldService {
   /// In-memory tee of the durability stream — the replication feed
   /// (net/replication.hpp). on_batch sees every flushed batch's epoch
   /// record UNDER THE FLUSH LOCK, right after the WAL append, in
-  /// exactly the WAL's byte framing; on_checkpoint fires (same lock)
-  /// when a cadence checkpoint lands, with its epoch. Callbacks must be
-  /// cheap and must not call flush() or submit(). Either hook may be
-  /// null; replace with {} to detach. replay() never fires the tap (a
-  /// replica bootstraps from disk, not from replay).
+  /// exactly the WAL's byte framing (an epoch the WAL refused is not
+  /// teed); on_checkpoint fires (same lock) when a cadence checkpoint
+  /// lands, with its epoch. Callbacks must be cheap and must not call
+  /// flush() or submit(). Either hook may be null; replace with {} to
+  /// detach. replay() never fires the tap (a replica bootstraps from
+  /// disk, not from replay).
   struct EpochTap {
-    /// Fired per published epoch with the exact WAL record bytes.
+    /// Fired per logged epoch with the exact WAL record bytes.
     std::function<void(uint64_t epoch, const std::string& record)> on_batch;
     /// Fired when a cadence checkpoint lands (its epoch).
     std::function<void(uint64_t checkpoint_epoch)> on_checkpoint;
@@ -284,6 +286,8 @@ class SldService {
   // rehydration caller) before members die.
   std::unique_ptr<persist::PersistenceManager> persist_;
   EpochTap tap_;  // guarded by flush_mu_ (set vs flush-path invocation)
+  // Set when the WAL refused a record (engine.wal_poisoned gauge).
+  std::atomic<bool> wal_poisoned_{false};
   uint64_t next_epoch_ = 1;  // guarded by flush_mu_
   std::mutex flush_mu_;
 

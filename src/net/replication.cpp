@@ -40,59 +40,20 @@ ReplicationSource::~ReplicationSource() {
 
 void ReplicationSource::prime_from_disk() {
   persist::PersistenceManager* pm = svc_.persistence();
-  persist::FileBackend& fb = pm->backend();
-  const std::string& dir = pm->options().dir;
-
-  std::vector<uint64_t> ckpts, segs;
-  for (const std::string& name : fb.list(dir)) {
-    uint64_t e;
-    if (persist::CheckpointWriter::parse_file_name(name, &e))
-      ckpts.push_back(e);
-    if (persist::WalReader::parse_segment_name(name, &e)) segs.push_back(e);
-  }
-  std::sort(ckpts.begin(), ckpts.end());
-  std::sort(segs.begin(), segs.end());
-
-  // Newest checkpoint that validates (corrupt ones fall back — the
-  // same discipline as persist::recover()).
-  uint64_t ck_epoch = 0;
-  std::string ck_bytes;
-  for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
-    std::string bytes;
-    if (!fb.read_file(dir + "/" + persist::CheckpointWriter::file_name(*it),
-                      &bytes))
-      continue;
-    persist::CheckpointData ck;
-    if (persist::CheckpointWriter::read(bytes, &ck)) {
-      ck_epoch = ck.epoch;
-      ck_bytes = std::move(bytes);
-      break;
-    }
-  }
-
-  // Re-frame every on-disk record past the checkpoint (encode_record
-  // of a decoded record reproduces the original bytes exactly).
-  std::vector<std::pair<uint64_t, std::string>> recs;
-  for (uint64_t seg : segs) {
-    std::string bytes;
-    if (!fb.read_file(dir + "/" + persist::WalReader::segment_name(seg),
-                      &bytes))
-      continue;
-    persist::WalReader::Scan scan = persist::WalReader::scan(bytes);
-    for (const persist::WalRecord& rec : scan.records) {
-      if (rec.epoch <= ck_epoch) continue;
-      recs.emplace_back(
-          rec.epoch, persist::WalWriter::encode_record(rec.epoch, rec.batch));
-    }
-  }
-
+  // The history recovery would replay, read without repairing: the
+  // writer may be appending to the newest segment right now.
+  persist::History h = persist::read_history(pm->backend(), pm->options().dir);
   std::lock_guard<std::mutex> lk(mu_);
-  if (ck_epoch > ckpt_epoch_) {
-    ckpt_epoch_ = ck_epoch;
-    ckpt_bytes_ = std::move(ck_bytes);
+  if (h.checkpoint.epoch > ckpt_epoch_) {
+    ckpt_epoch_ = h.checkpoint.epoch;
+    ckpt_bytes_ = std::move(h.checkpoint_bytes);
   }
-  for (auto& [e, b] : recs)
-    if (e > ckpt_epoch_) ring_.try_emplace(e, std::move(b));
+  // Re-frame each record (encode_record of a decoded record reproduces
+  // the original bytes exactly).
+  for (const persist::WalRecord& rec : h.records)
+    if (rec.epoch > ckpt_epoch_)
+      ring_.try_emplace(rec.epoch, persist::WalWriter::encode_record(
+                                       rec.epoch, rec.batch));
   ring_.erase(ring_.begin(), ring_.lower_bound(ckpt_epoch_ + 1));
   tip_ = std::max(tip_, ckpt_epoch_);
   if (!ring_.empty()) tip_ = std::max(tip_, ring_.rbegin()->first);
@@ -275,9 +236,9 @@ bool Replica::apply_record(const std::string& bytes) {
   }
   if (rec.epoch <= applied) return true;  // bootstrap overlap, skip
   if (rec.epoch != applied + 1) {
-    // Epoch gap: the stream is broken (same contract as recovery's
-    // replay halt) — serving stale is safe, applying past a hole is
-    // not.
+    // Epoch gap: the stream is broken (recovery cuts its history at
+    // such a hole too) — serving stale is safe, applying past a hole
+    // is not.
     std::lock_guard<std::mutex> lk(mu_);
     desynced_ = true;
     cv_.notify_all();

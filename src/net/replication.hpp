@@ -20,7 +20,10 @@
 // tap first (all later flushes are captured), then forces the WAL's
 // stdio buffer to disk and primes the ring from the directory (all
 // earlier records are captured), deduplicating by epoch — so there is
-// no gap no matter when it attaches.
+// no gap no matter when it attaches. Priming reads the directory
+// through persist::read_history, without repairing it, so the ring
+// starts from exactly the checkpoint and records recovery would
+// replay.
 //
 // A replica is a full SldService (non-persisted) fed only by the
 // stream: the checkpoint replayed as one epoch (live edges + ticket

@@ -1,6 +1,5 @@
 #include "persist/checkpoint.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -9,7 +8,6 @@
 #include "engine/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "persist/crc32c.hpp"
-#include "persist/wal.hpp"
 
 namespace dynsld::persist {
 
@@ -249,50 +247,6 @@ bool CheckpointWriter::read(const std::string& bytes, CheckpointData* out) {
   if (!r.ok()) return false;
   out->snapshot_bytes.assign(payload + (len - r.remaining()), r.remaining());
   return true;
-}
-
-// ---- Compactor -------------------------------------------------------
-
-Compactor::Result Compactor::run(FileBackend& backend,
-                                 const PersistOptions& opts,
-                                 engine::EngineObs* obs) {
-  Result res;
-  std::vector<uint64_t> ckpts;
-  std::vector<uint64_t> segs;
-  for (const std::string& name : backend.list(opts.dir)) {
-    uint64_t e;
-    if (CheckpointWriter::parse_file_name(name, &e)) ckpts.push_back(e);
-    if (WalReader::parse_segment_name(name, &e)) segs.push_back(e);
-  }
-  std::sort(ckpts.begin(), ckpts.end());
-  std::sort(segs.begin(), segs.end());
-  size_t retain = opts.retain_checkpoints ? opts.retain_checkpoints : 1;
-  if (ckpts.empty()) return res;  // no horizon yet: keep everything
-  size_t drop = ckpts.size() > retain ? ckpts.size() - retain : 0;
-  for (size_t i = 0; i < drop; ++i) {
-    if (backend.remove(opts.dir + "/" + CheckpointWriter::file_name(ckpts[i])))
-      ++res.checkpoints_removed;
-  }
-  // Oldest surviving checkpoint: segments whose whole epoch range is
-  // at or below it are covered by replay-from-that-checkpoint and can
-  // go. A segment's range ends where the NEXT segment starts (rotation
-  // happens at checkpoints), so segment i is removable when segment
-  // i+1 starts at or below horizon + 1.
-  uint64_t horizon = ckpts[drop];
-  for (size_t i = 0; i + 1 < segs.size(); ++i) {
-    if (segs[i + 1] > horizon + 1) break;
-    if (backend.remove(opts.dir + "/" + WalReader::segment_name(segs[i])))
-      ++res.segments_removed;
-  }
-  if (obs) {
-    if (res.checkpoints_removed)
-      obs->stats.checkpoints_removed.fetch_add(res.checkpoints_removed,
-                                               std::memory_order_relaxed);
-    if (res.segments_removed)
-      obs->stats.wal_segments_removed.fetch_add(res.segments_removed,
-                                                std::memory_order_relaxed);
-  }
-  return res;
 }
 
 }  // namespace dynsld::persist

@@ -1,6 +1,5 @@
 // Checkpoints: periodic full-state images that bound recovery replay
-// and anchor AsOf time travel, plus the compactor that bounds the
-// on-disk history window.
+// and anchor AsOf time travel.
 //
 // Every `checkpoint_every` epochs the service hands the just-published
 // EngineSnapshot to the CheckpointWriter, which serializes TWO views
@@ -32,12 +31,6 @@
 // Publication is write-to-temp + rename (FileBackend::write_atomic),
 // so a crash mid-checkpoint leaves the previous checkpoint intact and
 // recovery falls back to it — checkpoints are all-or-nothing.
-//
-// The Compactor enforces the retention window after each successful
-// checkpoint: keep the newest `retain_checkpoints` checkpoint files,
-// delete older ones, and delete every WAL segment whose epochs are
-// entirely at or below the oldest retained checkpoint (segments rotate
-// at checkpoints, so this deletes whole files).
 #pragma once
 
 #include <cstdint>
@@ -119,22 +112,6 @@ class CheckpointWriter {
   std::shared_ptr<FileBackend> backend_;
   PersistOptions opts_;
   std::shared_ptr<engine::EngineObs> obs_;
-};
-
-/// Deletes checkpoints past the retention count and WAL segments fully
-/// covered by the oldest retained checkpoint (see the header comment).
-class Compactor {
- public:
-  /// What one compaction pass removed.
-  struct Result {
-    size_t checkpoints_removed = 0;
-    size_t segments_removed = 0;
-  };
-
-  /// Run one pass over `opts.dir`. `obs` (nullable) receives the
-  /// *_removed counters.
-  static Result run(FileBackend& backend, const PersistOptions& opts,
-                    engine::EngineObs* obs);
 };
 
 }  // namespace dynsld::persist

@@ -23,22 +23,22 @@ PersistenceManager::PersistenceManager(PersistOptions opts,
 }
 
 void PersistenceManager::require_fresh() const {
-  for (const std::string& name : backend_->list(opts_.dir)) {
-    uint64_t e;
-    if (WalReader::parse_segment_name(name, &e) ||
-        CheckpointWriter::parse_file_name(name, &e))
-      throw std::runtime_error(
-          "dynsld: persist dir '" + opts_.dir +
-          "' already holds durable state (" + name +
-          "); resume it with persist::recover() instead of constructing "
-          "a fresh service over it");
-  }
+  const DurableFiles files = list_durable(*backend_, opts_.dir);
+  if (files.checkpoints.empty() && files.segments.empty()) return;
+  throw std::runtime_error(
+      "dynsld: persist dir '" + opts_.dir +
+      "' already holds durable state (" +
+      (files.segments.empty()
+           ? CheckpointWriter::file_name(files.checkpoints.front())
+           : WalReader::segment_name(files.segments.front())) +
+      "); resume it with persist::recover() instead of constructing a "
+      "fresh service over it");
 }
 
-void PersistenceManager::log_batch(
+bool PersistenceManager::log_batch(
     uint64_t epoch, const engine::MutationQueue::Drained& batch) {
-  wal_.append(epoch, batch);
   track_live(batch);
+  return wal_.append(epoch, batch);
 }
 
 void PersistenceManager::track_live(
@@ -92,6 +92,122 @@ engine::EpochManager::Snap PersistenceManager::rehydrate(uint64_t epoch) {
   return snap;
 }
 
+DurableFiles list_durable(FileBackend& fb, const std::string& dir) {
+  DurableFiles files;
+  for (const std::string& name : fb.list(dir)) {
+    uint64_t e;
+    if (CheckpointWriter::parse_file_name(name, &e))
+      files.checkpoints.push_back(e);
+    else if (WalReader::parse_segment_name(name, &e))
+      files.segments.push_back(e);
+  }
+  std::sort(files.checkpoints.begin(), files.checkpoints.end());
+  std::sort(files.segments.begin(), files.segments.end());
+  return files;
+}
+
+History read_history(FileBackend& fb, const std::string& dir) {
+  const DurableFiles files = list_durable(fb, dir);
+  History h;
+  // Newest checkpoint that validates wins; corrupt files fall back to
+  // older ones (checkpoints publish atomically, so at most the newest
+  // can be a casualty of the crash — and only on non-atomic stores).
+  for (auto it = files.checkpoints.rbegin(); it != files.checkpoints.rend();
+       ++it) {
+    if (fb.read_file(dir + "/" + CheckpointWriter::file_name(*it),
+                     &h.checkpoint_bytes) &&
+        CheckpointWriter::read(h.checkpoint_bytes, &h.checkpoint))
+      break;
+    h.checkpoint = {};
+    h.checkpoint_bytes.clear();
+  }
+
+  // Walk the segments in epoch order (see the header comment for the
+  // rule). What a segment keeps decides its repair and the resume
+  // target, both settled once the final tip is known.
+  struct Kept {
+    std::string name;
+    uint64_t first, size, keep_bytes;
+    size_t records;     // records kept, covered ones included
+    uint64_t last = 0;  // epoch of the last of them
+  };
+  std::vector<Kept> kept;
+  uint64_t tip = h.checkpoint.epoch;
+  bool cut = false;  // a hole was found: every later segment goes
+  for (uint64_t first : files.segments) {
+    const std::string name = WalReader::segment_name(first);
+    std::string bytes;
+    WalReader::Scan scan;
+    if (!cut && fb.read_file(dir + "/" + name, &bytes))
+      scan = WalReader::scan(bytes);
+    if (!scan.ok) {  // unreadable, headerless, or past a hole
+      h.repairs.push_back({name, 0});
+      continue;
+    }
+    Kept k{name, first, bytes.size(), scan.valid_bytes, scan.records.size()};
+    for (size_t i = 0; i < scan.records.size(); ++i) {
+      WalRecord& rec = scan.records[i];
+      if (rec.epoch > tip + 1) {  // a hole: cut here
+        k.keep_bytes = scan.starts[i];
+        k.records = i;
+        cut = true;
+        break;
+      }
+      k.last = rec.epoch;
+      if (rec.epoch <= tip) continue;  // covered
+      tip = rec.epoch;
+      h.records.push_back(std::move(rec));
+    }
+    kept.push_back(std::move(k));
+  }
+  for (const Kept& k : kept) {
+    const bool empty = k.records == 0;
+    if (empty && k.first != tip + 1) {
+      h.repairs.push_back({k.name, 0});
+      continue;
+    }
+    if (k.keep_bytes != k.size) h.repairs.push_back({k.name, k.keep_bytes});
+    h.resume = (empty || k.last == tip) ? k.name : std::string();
+  }
+  return h;
+}
+
+Compactor::Result Compactor::run(FileBackend& backend,
+                                 const PersistOptions& opts,
+                                 engine::EngineObs* obs) {
+  Result res;
+  const DurableFiles files = list_durable(backend, opts.dir);
+  const std::vector<uint64_t>& ckpts = files.checkpoints;
+  const std::vector<uint64_t>& segs = files.segments;
+  size_t retain = opts.retain_checkpoints ? opts.retain_checkpoints : 1;
+  if (ckpts.empty()) return res;  // no horizon yet: keep everything
+  size_t drop = ckpts.size() > retain ? ckpts.size() - retain : 0;
+  for (size_t i = 0; i < drop; ++i) {
+    if (backend.remove(opts.dir + "/" + CheckpointWriter::file_name(ckpts[i])))
+      ++res.checkpoints_removed;
+  }
+  // Oldest surviving checkpoint: segments whose whole epoch range is
+  // at or below it are covered by replay-from-that-checkpoint and can
+  // go. A segment's range ends where the NEXT segment starts (rotation
+  // happens at checkpoints), so segment i is removable when segment
+  // i+1 starts at or below horizon + 1.
+  uint64_t horizon = ckpts[drop];
+  for (size_t i = 0; i + 1 < segs.size(); ++i) {
+    if (segs[i + 1] > horizon + 1) break;
+    if (backend.remove(opts.dir + "/" + WalReader::segment_name(segs[i])))
+      ++res.segments_removed;
+  }
+  if (obs) {
+    if (res.checkpoints_removed)
+      obs->stats.checkpoints_removed.fetch_add(res.checkpoints_removed,
+                                               std::memory_order_relaxed);
+    if (res.segments_removed)
+      obs->stats.wal_segments_removed.fetch_add(res.segments_removed,
+                                                std::memory_order_relaxed);
+  }
+  return res;
+}
+
 RecoverResult recover(engine::ServiceConfig cfg,
                       std::shared_ptr<FileBackend> backend) {
   if (!cfg.persist.enabled())
@@ -100,14 +216,14 @@ RecoverResult recover(engine::ServiceConfig cfg,
   const PersistOptions opts = cfg.persist;
   backend->mkdirs(opts.dir);
 
-  std::vector<uint64_t> ckpts, segs;
-  for (const std::string& name : backend->list(opts.dir)) {
-    uint64_t e;
-    if (CheckpointWriter::parse_file_name(name, &e)) ckpts.push_back(e);
-    if (WalReader::parse_segment_name(name, &e)) segs.push_back(e);
+  const History h = read_history(*backend, opts.dir);
+  for (const History::Repair& r : h.repairs) {
+    const std::string path = opts.dir + "/" + r.name;
+    if (r.keep_bytes)
+      backend->truncate(path, r.keep_bytes);
+    else
+      backend->remove(path);
   }
-  std::sort(ckpts.begin(), ckpts.end());
-  std::sort(segs.begin(), segs.end());
 
   RecoverResult res;
   // Boot the service with persistence DETACHED: replay re-enacts
@@ -120,99 +236,24 @@ RecoverResult recover(engine::ServiceConfig cfg,
                                svc->obs_shared()->persist_recover);
   auto pm =
       std::make_unique<PersistenceManager>(opts, backend, svc->obs_shared());
-
-  // Newest checkpoint that validates wins; corrupt files fall back to
-  // older ones (checkpoints publish atomically, so at most the newest
-  // can be a casualty of the crash — and only on non-atomic stores).
-  CheckpointData ck;
-  bool have_ck = false;
-  for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {
-    std::string bytes;
-    if (!backend->read_file(
-            opts.dir + "/" + CheckpointWriter::file_name(*it), &bytes))
-      continue;
-    if (CheckpointWriter::read(bytes, &ck)) {
-      have_ck = true;
-      break;
-    }
-  }
-  if (have_ck) {
+  if (!h.checkpoint_bytes.empty()) {
+    const CheckpointData& ck = h.checkpoint;
     svc->replay(ck.epoch, ck.live, ck.next_ticket);
     pm->track_live(ck.live);
     pm->set_last_checkpoint(ck.epoch);
     res.checkpoint_epoch = ck.epoch;
   }
-
-  // Replay WAL segments in epoch order, re-enacting each record past
-  // the checkpoint as one epoch. Replay halts at the first
-  // tear; later segments (possible only after mid-file corruption) are
-  // unreachable across the hole and are dropped.
-  uint64_t published = svc->epoch();
-  std::string resume;  // segment the writer should continue appending to
-  // A segment is appendable only where the next record (published + 1)
-  // keeps its epochs consecutive: its last record is the replayed tip,
-  // or it holds none and is named for the next epoch. Otherwise (e.g. a
-  // torn segment the checkpoint already covers) the writer opens
-  // wal-<published+1> instead.
-  auto appendable = [&published](const WalReader::Scan& scan,
-                                 uint64_t first_epoch) {
-    return scan.records.empty() ? first_epoch == published + 1
-                                : scan.records.back().epoch == published;
-  };
-  bool halted = false;
-  size_t si = 0;
-  for (; si < segs.size() && !halted; ++si) {
-    const std::string name = WalReader::segment_name(segs[si]);
-    const std::string path = opts.dir + "/" + name;
-    std::string bytes;
-    if (!backend->read_file(path, &bytes)) {
-      backend->remove(path);
-      res.torn_tail_truncated = true;
-      halted = true;
-      break;
-    }
-    WalReader::Scan scan = WalReader::scan(bytes);
-    if (!scan.ok) {
-      // Crash before the segment header landed: the file carries no
-      // records — drop it and start fresh from here.
-      backend->remove(path);
-      res.torn_tail_truncated = true;
-      halted = true;
-      break;
-    }
-    for (const WalRecord& rec : scan.records) {
-      if (rec.epoch <= published) continue;  // covered by the checkpoint
-      if (rec.epoch != published + 1) {
-        // Epoch gap: impossible from the single sequential writer;
-        // indicates external tampering. Stop replaying — everything up
-        // to the gap is consistent — and drop the segment (resuming
-        // after out-of-order records would corrupt it further).
-        halted = true;
-        break;
-      }
-      svc->replay(rec.epoch, rec.batch);
-      pm->track_live(rec.batch);
-      published = rec.epoch;
-      ++res.records_replayed;
-    }
-    if (scan.torn) {
-      backend->truncate(path, scan.valid_bytes);
-      res.torn_tail_truncated = true;
-      halted = true;
-    }
-    if (!halted || scan.torn)
-      resume = appendable(scan, segs[si]) ? name : std::string();
+  for (const WalRecord& rec : h.records) {
+    svc->replay(rec.epoch, rec.batch);
+    pm->track_live(rec.batch);
   }
-  if (halted) {
-    for (size_t j = si; j < segs.size(); ++j)
-      backend->remove(opts.dir + "/" + WalReader::segment_name(segs[j]));
-  }
-
-  res.tip_epoch = published;
-  if (res.records_replayed && svc->obs_shared())
+  res.tip_epoch = svc->epoch();
+  res.records_replayed = h.records.size();
+  res.torn_tail_truncated = !h.repairs.empty();
+  if (res.records_replayed)
     svc->obs_shared()->stats.recovery_replayed.fetch_add(
         res.records_replayed, std::memory_order_relaxed);
-  if (!resume.empty()) pm->resume_segment(resume);
+  if (!h.resume.empty()) pm->resume_segment(h.resume);
   svc->attach_persistence(std::move(pm));
   res.service = std::move(svc);
   return res;

@@ -20,18 +20,23 @@
 // epochs rehydrate; anything else in cold history is unavailable by
 // contract (docs/DURABILITY.md).
 //
-// recover(cfg) replays a directory:
+// recover(cfg) is read -> repair -> replay. read_history() alone
+// decides which files form the durable history; the replication source
+// primes its ring from it too, without repairing:
 //
 //   1. load the newest checkpoint that validates (corrupt ones fall
 //      back to older files — checkpoints publish atomically);
 //   2. replay its live edges as one batch under their original
 //      tickets and ticket floor, republishing the checkpoint epoch;
-//   3. scan WAL segments in order and replay each record as its own
-//      batch, republishing the exact epoch sequence; a torn
-//      tail record is truncated away (bounded loss: whatever the fsync
-//      policy left volatile), and the segment resumes appending there;
-//   4. attach a PersistenceManager positioned to continue — same
-//      segment, same checkpoint cadence — and hand back the service.
+//   3. walk the WAL segments in name order: a record at or below the
+//      tip is covered and skipped, one at tip+1 is replayed as its own
+//      batch and becomes the tip, and the first one above tip+1 is a
+//      hole — it and everything after it are cut. A torn tail (bounded
+//      loss: whatever the fsync policy left volatile) is truncated and
+//      an unreadable segment removed without ending the walk;
+//   4. attach a PersistenceManager positioned to continue — in the
+//      segment whose last record is the tip, else in wal-<tip+1> —
+//      and hand back the service.
 //
 // The recovered engine is bit-for-bit the logged one: same tickets,
 // same endpoint-ledger resolution, same epoch numbers, same labels and
@@ -59,6 +64,57 @@
 
 namespace dynsld::persist {
 
+/// The durable files under a directory, epoch-ascending.
+struct DurableFiles {
+  std::vector<uint64_t> checkpoints;  // ckpt-<epoch>.bin
+  std::vector<uint64_t> segments;     // wal-<first epoch>.log
+};
+
+/// List `dir`'s checkpoints and WAL segments (the one place their file
+/// names are parsed).
+DurableFiles list_durable(FileBackend& fb, const std::string& dir);
+
+/// The history a directory holds (see the header comment for the rule).
+struct History {
+  /// The newest checkpoint that validates, decoded and as its file
+  /// bytes (both empty, epoch 0, when none does).
+  CheckpointData checkpoint;
+  std::string checkpoint_bytes;
+  /// Records checkpoint.epoch + 1, + 2, ... in order, without a hole.
+  std::vector<WalRecord> records;
+  /// Cut segment `name` to its first `keep_bytes` bytes, or remove it
+  /// when `keep_bytes` is 0 (a segment worth keeping has its header).
+  struct Repair {
+    std::string name;
+    uint64_t keep_bytes;
+  };
+  /// The repairs that leave the directory holding exactly this history.
+  std::vector<Repair> repairs;
+  /// The segment the writer resumes appending to: the one whose last
+  /// kept record is the tip, or an empty one named tip+1. Empty = open
+  /// wal-<tip+1> on the next append.
+  std::string resume;
+};
+
+/// Read `dir`'s durable history without changing it.
+History read_history(FileBackend& fb, const std::string& dir);
+
+/// Deletes checkpoints past the retention count and WAL segments fully
+/// covered by the oldest retained checkpoint (docs/DURABILITY.md).
+class Compactor {
+ public:
+  /// What one compaction pass removed.
+  struct Result {
+    size_t checkpoints_removed = 0;
+    size_t segments_removed = 0;
+  };
+
+  /// Run one pass over `opts.dir`. `obs` (nullable) receives the
+  /// *_removed counters.
+  static Result run(FileBackend& backend, const PersistOptions& opts,
+                    engine::EngineObs* obs);
+};
+
 /// The service's durability plane: WAL + checkpoint cadence +
 /// compaction on the write side, the AsOf rehydration LRU on the read
 /// side (see the header comment). Write-side methods are called under
@@ -81,7 +137,9 @@ class PersistenceManager {
 
   /// WAL the batch that is about to become `epoch` (called after the
   /// drain, before the apply) and fold it into the live-edge table.
-  void log_batch(uint64_t epoch, const engine::MutationQueue::Drained& batch);
+  /// False when the append failed: the writer is poisoned and the
+  /// epoch is not durable.
+  bool log_batch(uint64_t epoch, const engine::MutationQueue::Drained& batch);
 
   /// Fold a batch into the live-edge table: its inserts become alive,
   /// its erases die. log_batch() runs it for every logged batch;
@@ -121,7 +179,7 @@ class PersistenceManager {
   /// domain; the replication source reads it from the publish tap to
   /// notice cadence checkpoints and prune its record ring.
   uint64_t last_checkpoint() const { return last_checkpoint_epoch_; }
-  /// Resume appending to the (already truncated) newest segment.
+  /// Resume appending to History::resume (already repaired).
   bool resume_segment(const std::string& name) {
     return wal_.open_existing(name);
   }
@@ -164,7 +222,8 @@ struct RecoverResult {
   uint64_t tip_epoch = 0;
   /// WAL records re-enacted past the checkpoint.
   uint64_t records_replayed = 0;
-  /// A torn tail (or headerless partial segment) was truncated away.
+  /// The directory needed repair: a torn tail was truncated, or an
+  /// unreadable segment or the history past a hole was cut.
   bool torn_tail_truncated = false;
 };
 

@@ -233,6 +233,7 @@ WalReader::Scan WalReader::scan(const std::string& bytes) {
     WalRecord rec;
     if (!parse_payload(payload, len, &rec)) break;  // payload/CRC length lie
     s.records.push_back(std::move(rec));
+    s.starts.push_back(off);
     off += 8 + len;
   }
   s.valid_bytes = off;

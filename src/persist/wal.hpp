@@ -23,7 +23,7 @@
 // Torn tails are expected, not errors: a crash mid-append leaves a
 // trailing record whose length/CRC cannot validate. WalReader::scan
 // stops at the first invalid record and reports the valid byte prefix;
-// recovery truncates the file there and replays what remains — losing
+// recovery (persist::read_history) truncates the file there — losing
 // at most the epochs the fsync policy said could be lost.
 //
 // A failed append POISONS the writer (every later append no-ops and
@@ -122,6 +122,9 @@ class WalReader {
   struct Scan {
     /// Records that validated, in file order.
     std::vector<WalRecord> records;
+    /// Byte offset where each record's frame starts (parallel to
+    /// `records`): where a cut before records[i] truncates the file.
+    std::vector<uint64_t> starts;
     /// Byte offset just past the last valid record (the truncation
     /// point when `torn`).
     uint64_t valid_bytes = 0;

@@ -1057,6 +1057,172 @@ TEST(Persist, TornCoveredSegmentIsNotResumed) {
   EXPECT_EQ(recovered, state_bytes(*twin.snapshot()));
 }
 
+/// The state of a never-persisted service after epoch_batch 1..n.
+std::string twin_state_bytes(const ServiceConfig& cfg, uint64_t n) {
+  ServiceConfig plain = cfg;
+  plain.persist.dir.clear();
+  SldService twin(plain);
+  std::vector<std::pair<vertex_id, vertex_id>> live;
+  for (uint64_t i = 1; i <= n; ++i) epoch_batch(twin, i, live);
+  return state_bytes(*twin.snapshot());
+}
+
+std::string segment_path(const std::string& dir, uint64_t first) {
+  return dir + "/" + persist::WalReader::segment_name(first);
+}
+
+/// Every WAL segment in `dir` scans clean, and its records are
+/// consecutive epochs, none below the epoch in its name.
+void expect_segments_consecutive(const std::string& dir) {
+  for (uint64_t first :
+       persist::list_durable(*persist::local_backend(), dir).segments) {
+    SCOPED_TRACE("segment " + persist::WalReader::segment_name(first));
+    std::string bytes;
+    ASSERT_TRUE(
+        persist::local_backend()->read_file(segment_path(dir, first), &bytes));
+    auto scan = persist::WalReader::scan(bytes);
+    ASSERT_TRUE(scan.ok);
+    EXPECT_FALSE(scan.torn);
+    uint64_t next = first;
+    for (const persist::WalRecord& rec : scan.records) {
+      if (next == first)
+        EXPECT_GE(rec.epoch, first);
+      else
+        EXPECT_EQ(rec.epoch, next);
+      next = rec.epoch + 1;
+    }
+  }
+}
+
+/// Corruption in a segment the newest checkpoint covers loses nothing:
+/// the covered tear is truncated, and the intact newer segment still
+/// replays every acknowledged epoch past the checkpoint.
+TEST(Persist, CoveredCorruptionKeepsLaterSegments) {
+  TempDir dir;
+  ServiceConfig cfg;
+  cfg.num_vertices = 32;
+  cfg.num_shards = 2;
+  cfg.persist.dir = dir.path;
+  cfg.persist.checkpoint_every = 4;
+  {
+    SldService svc(cfg);
+    std::vector<std::pair<vertex_id, vertex_id>> live;
+    for (uint64_t i = 1; i <= 11; ++i) epoch_batch(svc, i, live);
+  }
+  // wal-5 holds epochs 5..8 (covered by ckpt-8), wal-9 holds 9..11.
+  const std::string wal5 = segment_path(dir.path, 5);
+  std::string bytes;
+  ASSERT_TRUE(persist::local_backend()->read_file(wal5, &bytes));
+  ASSERT_EQ(persist::WalReader::scan(bytes).records.size(), 4u);
+  {
+    std::fstream f(wal5, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(bytes.size() / 2));
+    f.put(static_cast<char>(bytes[bytes.size() / 2] ^ 0x5a));
+  }
+
+  auto res = persist::recover(cfg);
+  ASSERT_TRUE(res.service);
+  EXPECT_TRUE(res.torn_tail_truncated);
+  EXPECT_EQ(res.checkpoint_epoch, 8u);
+  EXPECT_EQ(res.tip_epoch, 11u);
+  EXPECT_EQ(res.records_replayed, 3u);
+  EXPECT_TRUE(fs::exists(segment_path(dir.path, 9)));
+  expect_segments_consecutive(dir.path);
+  EXPECT_EQ(state_bytes(*res.service->snapshot()),
+            twin_state_bytes(cfg, 11));
+}
+
+/// An epoch gap inside a segment cuts the history at the gap: the
+/// segment is truncated there, so the writer continues it without a
+/// hole and a later recovery replays the new epochs too.
+TEST(Persist, InSegmentGapIsCutAndHistoryContinues) {
+  TempDir dir;
+  ServiceConfig cfg;
+  cfg.num_vertices = 32;
+  cfg.num_shards = 2;
+  cfg.persist.dir = dir.path;
+  std::vector<std::pair<vertex_id, vertex_id>> live, live_at_2;
+  {
+    SldService svc(cfg);
+    for (uint64_t i = 1; i <= 5; ++i) {
+      epoch_batch(svc, i, live);
+      if (i == 2) live_at_2 = live;
+    }
+  }
+  // Remove epoch 3's record from wal-1.
+  const std::string wal1 = segment_path(dir.path, 1);
+  std::string bytes;
+  ASSERT_TRUE(persist::local_backend()->read_file(wal1, &bytes));
+  auto scan = persist::WalReader::scan(bytes);
+  ASSERT_EQ(scan.records.size(), 5u);
+  ASSERT_EQ(scan.records[2].epoch, 3u);
+  bytes.erase(scan.starts[2], scan.starts[3] - scan.starts[2]);
+  ASSERT_TRUE(persist::local_backend()->write_atomic(wal1, bytes));
+
+  {
+    auto res = persist::recover(cfg);
+    ASSERT_TRUE(res.service);
+    EXPECT_TRUE(res.torn_tail_truncated);
+    EXPECT_EQ(res.tip_epoch, 2u);
+    expect_segments_consecutive(dir.path);
+    for (uint64_t i = 3; i <= 5; ++i)
+      epoch_batch(*res.service, i, live_at_2);
+  }
+  auto res = persist::recover(cfg);
+  ASSERT_TRUE(res.service);
+  EXPECT_FALSE(res.torn_tail_truncated);
+  EXPECT_EQ(res.tip_epoch, 5u);
+  expect_segments_consecutive(dir.path);
+  EXPECT_EQ(state_bytes(*res.service->snapshot()), twin_state_bytes(cfg, 5));
+}
+
+uint64_t gauge(const SldService& svc, const std::string& name) {
+  for (const auto& g : svc.obs().registry.scrape().gauges)
+    if (g.name == name) return g.value;
+  ADD_FAILURE() << "no gauge " << name;
+  return 0;
+}
+
+/// Once the WAL refuses a record, the epoch still publishes but is not
+/// teed to replication, and engine.wal_poisoned reads 1. Recovery then
+/// reaches exactly the last teed epoch.
+TEST(Persist, PoisonedWalStopsTheTapAtTheLastLoggedEpoch) {
+  TempDir dir;
+  ServiceConfig cfg;
+  cfg.num_vertices = 32;
+  cfg.num_shards = 2;
+  cfg.persist.dir = dir.path;
+  cfg.persist.fsync_every_n = 1;
+  std::vector<uint64_t> tapped;
+  {
+    ServiceConfig boot = cfg;
+    boot.persist.dir.clear();
+    SldService svc(boot);
+    // Header, then records of 48 B (one insert) or 64 B (plus an
+    // erase): the budget runs out inside epoch 4's record.
+    auto fault = std::make_shared<FaultBackend>(persist::local_backend(),
+                                                12 + 48 + 48 + 64 + 20);
+    svc.attach_persistence(std::make_unique<persist::PersistenceManager>(
+        cfg.persist, fault, svc.obs_shared()));
+    svc.set_epoch_tap(
+        {[&](uint64_t e, const std::string&) { tapped.push_back(e); }, {}});
+    std::vector<std::pair<vertex_id, vertex_id>> live;
+    epoch_batch(svc, 1, live);
+    EXPECT_EQ(gauge(svc, "engine.wal_poisoned"), 0u);
+    for (uint64_t i = 2; i <= 6; ++i) epoch_batch(svc, i, live);
+    EXPECT_TRUE(fault->dead());
+    EXPECT_EQ(svc.epoch(), 6u);
+    EXPECT_EQ(gauge(svc, "engine.wal_poisoned"), 1u);
+    EXPECT_TRUE(svc.persistence()->wal_failed());
+  }
+  EXPECT_EQ(tapped, (std::vector<uint64_t>{1, 2, 3}));
+  auto res = persist::recover(cfg);
+  ASSERT_TRUE(res.service);
+  EXPECT_TRUE(res.torn_tail_truncated);
+  EXPECT_EQ(res.tip_epoch, 3u);
+  EXPECT_EQ(state_bytes(*res.service->snapshot()), twin_state_bytes(cfg, 3));
+}
+
 TEST(Persist, CompactionBoundsHistoryAndKeepsRecoverability) {
   TempDir dir;
   const double tau = 0.5;

@@ -32,8 +32,11 @@ Usage:
 
   python3 tools/walctl.py truncate --truncate-torn-tail <dir>
       Truncate every torn segment back to its last valid record
-      boundary (what recover() would do). Prints what was cut.
-      Refuses to touch anything without the explicit flag.
+      boundary. Prints what was cut. Refuses to touch anything without
+      the explicit flag. This cuts torn tails only: recover() also
+      cuts the history at an epoch hole and removes the segments past
+      it, which truncate leaves alone (verify reports a hole inside a
+      segment as GAP).
 """
 
 import argparse
